@@ -115,21 +115,21 @@ fn bench_execution(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("fault_runlength", |b| {
         b.iter(|| {
-            let mut sim = FaultSim::new(m, &demands, &releases, plan.clone());
+            let mut sim = FaultSim::new(m, demands.clone(), &releases, plan.clone());
             sim.execute_trace(black_box(&trace), None).expect("valid trace");
             black_box(sim.blocked_units())
         })
     });
     group.bench_function("fault_unit_slot", |b| {
         b.iter(|| {
-            let mut sim = FaultSim::new(m, &demands, &releases, plan.clone());
+            let mut sim = FaultSim::new(m, demands.clone(), &releases, plan.clone());
             sim.execute_trace_slotwise(black_box(&trace), None).expect("valid trace");
             black_box(sim.blocked_units())
         })
     });
     group.bench_function("fabric_runlength", |b| {
         b.iter(|| {
-            let mut fabric = Fabric::new(m, &demands, &releases);
+            let mut fabric = Fabric::new(m, demands.clone(), &releases);
             for run in &trace.runs {
                 let pairs: Vec<(usize, usize, Vec<usize>)> = run
                     .transfers
@@ -151,8 +151,8 @@ fn bench_execution(c: &mut Criterion) {
     group.finish();
 
     // The two fault executors must agree before their timings mean anything.
-    let mut a = FaultSim::new(m, &demands, &releases, plan.clone());
-    let mut b = FaultSim::new(m, &demands, &releases, plan);
+    let mut a = FaultSim::new(m, demands.clone(), &releases, plan.clone());
+    let mut b = FaultSim::new(m, demands.clone(), &releases, plan);
     a.execute_trace(&trace, None).expect("valid trace");
     b.execute_trace_slotwise(&trace, None).expect("valid trace");
     let (ta, ca, _) = a.finish();

@@ -24,10 +24,13 @@
 //! under fault injection (and hence under the flight recorder and the
 //! diagnostics detectors) exactly like the BvN pipeline does.
 //!
-//! Determinism: each policy ported here reproduces its legacy loop
-//! *bit-identically* — same `ScheduleTrace`, completions, and objective
-//! (differential-tested against frozen copies of the old loops, and pinned
-//! in CI via `experiments pin` / `scripts/check-perf.sh`).
+//! Determinism: the batch and recovery policies reproduce their legacy
+//! loops *bit-identically* (same `ScheduleTrace`, completions, objective).
+//! The greedy-family policies (`sched::ordered`) decide once per event —
+//! a [`Decision::Run`] holds its matching for `duration` slots — and
+//! reproduce their per-slot loops slot for slot. Both contracts are
+//! differential-tested against frozen copies of the old loops and pinned
+//! in CI via `experiments pin` / `scripts/check-perf.sh`.
 
 use super::recovery::FaultyOutcome;
 use super::resilient::run_resilient;
@@ -106,6 +109,7 @@ pub struct EpochState<'a> {
     /// The instance being scheduled (full demands, releases, weights).
     pub instance: &'a Instance,
     exec: ExecRef<'a>,
+    next_boundary: Option<u64>,
 }
 
 impl<'a> EpochState<'a> {
@@ -149,6 +153,13 @@ impl<'a> EpochState<'a> {
     /// True when the engine is executing under fault injection.
     pub fn under_faults(&self) -> bool {
         matches!(self.exec, ExecRef::Faulty(_))
+    }
+
+    /// The first [`FaultPlan::boundaries`] slot after `now`, where the
+    /// fault state next changes; `None` on a clean fabric and past the
+    /// last boundary. Policies that hold a matching stop there.
+    pub fn next_boundary(&self) -> Option<u64> {
+        self.next_boundary
     }
 }
 
@@ -391,9 +402,8 @@ pub fn run_policy<P: Policy + ?Sized>(
     policy: &mut P,
 ) -> Result<ScheduleOutcome, SchedError> {
     let _span = obs::span("sched.engine");
-    let demands = instance.demand_matrices();
     let releases = instance.releases();
-    let mut fabric = Fabric::new(instance.ports(), &demands, &releases);
+    let mut fabric = Fabric::new(instance.ports(), instance.demand_matrices(), &releases);
     let mut decisions: u64 = 0;
     let mut last_beat = Instant::now();
     let mut pacer = HeartbeatPacer::default();
@@ -402,6 +412,7 @@ pub fn run_policy<P: Policy + ?Sized>(
             now: fabric.now(),
             instance,
             exec: ExecRef::Clean(&fabric),
+            next_boundary: None,
         })?;
         decisions += 1;
         if pacer.due(decisions) && {
@@ -484,10 +495,12 @@ pub fn run_policy<P: Policy + ?Sized>(
 /// Planning epochs are counted uniformly for every policy (satisfying
 /// [`FaultyOutcome::replans`]/[`FaultyOutcome::tiers`]): a
 /// [`Decision::Execute`] is one epoch, exactly like the legacy recovery
-/// loop; slot-reactive policies ([`Decision::Run`]) are charged one epoch
-/// per fault window entered — each entry is where such a policy re-derives
-/// its plan from post-fault state, and a quiet plan yields exactly one
-/// epoch on both paths.
+/// loop; matching policies ([`Decision::Run`]) are charged one epoch per
+/// fault window entered — each entry is where such a policy re-derives its
+/// plan from post-fault state, and a quiet plan yields exactly one epoch on
+/// both paths. Runs never straddle a boundary (policies cap their holds at
+/// [`EpochState::next_boundary`]), so the charge does not depend on how
+/// many slots a decision holds.
 pub fn run_policy_with_faults<P: Policy + ?Sized>(
     instance: &Instance,
     policy: &mut P,
@@ -531,10 +544,11 @@ pub struct Engine<'a> {
 impl<'a> Engine<'a> {
     /// Builds a fresh engine over `instance` under `plan`.
     pub fn new(instance: &'a Instance, plan: &FaultPlan) -> Self {
+        let releases = instance.releases();
         let sim = FaultSim::new(
             instance.ports(),
-            &instance.demand_matrices(),
-            &instance.releases(),
+            instance.demand_matrices(),
+            &releases,
             plan.clone(),
         );
         Engine {
@@ -545,7 +559,7 @@ impl<'a> Engine<'a> {
             tiers: Vec::new(),
             last_window: None,
             decisions: 0,
-            releases: instance.releases(),
+            releases,
             last_beat: Instant::now(),
         }
     }
@@ -606,10 +620,12 @@ impl<'a> Engine<'a> {
             return Ok(false);
         }
         let now = self.sim.now();
+        let next = self.boundaries.partition_point(|&b| b <= now);
         let decision = policy.decide(&EpochState {
             now,
             instance: self.instance,
             exec: ExecRef::Faulty(&self.sim),
+            next_boundary: self.boundaries.get(next).copied(),
         })?;
         self.decisions += 1;
         match decision {
@@ -751,46 +767,6 @@ fn step_pairs(
         sim.step(&moves)?;
     }
     Ok(())
-}
-
-/// Greedily matches free port pairs to candidate coflows in the given
-/// priority order: the shared port-conflict matcher behind both the online
-/// and greedy policies (previously duplicated in `online.rs`/`greedy.rs`).
-///
-/// Scans `candidates` front to back; for each, claims every still-free
-/// `(ingress, egress)` pair with remaining demand. Stops early once all `m`
-/// ingresses are matched (every later claim would conflict). `src_used`/
-/// `dst_used` are caller-provided scratch (cleared here) so hot loops can
-/// reuse them. Returns unit moves `(src, dst, coflow)` in discovery order.
-pub fn greedy_match<'a, I, F>(
-    m: usize,
-    candidates: I,
-    remaining: F,
-    src_used: &mut [bool],
-    dst_used: &mut [bool],
-) -> Vec<(usize, usize, usize)>
-where
-    I: IntoIterator<Item = usize>,
-    F: Fn(usize) -> &'a IntMatrix,
-{
-    src_used.iter_mut().for_each(|b| *b = false);
-    dst_used.iter_mut().for_each(|b| *b = false);
-    let mut moves: Vec<(usize, usize, usize)> = Vec::new();
-    let mut matched = 0usize;
-    for k in candidates {
-        if matched == m {
-            break;
-        }
-        for (i, j, _) in remaining(k).nonzero_entries() {
-            if !src_used[i] && !dst_used[j] {
-                src_used[i] = true;
-                dst_used[j] = true;
-                matched += 1;
-                moves.push((i, j, k));
-            }
-        }
-    }
-    moves
 }
 
 // ---------------------------------------------------------------------------
@@ -1352,244 +1328,6 @@ impl Policy for BvnBatchPolicy {
 }
 
 // ---------------------------------------------------------------------------
-// OnlineRhoPolicy: the online ρ/w-priority scheduler.
-// ---------------------------------------------------------------------------
-
-/// Behavior knobs of [`OnlineRhoPolicy`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OnlineOptions {
-    /// Re-sort the ρ(remaining)/w priority order at completion epochs too,
-    /// not just on arrivals. The legacy scheduler re-sorted only when a
-    /// coflow arrived, so between arrivals it kept serving an order
-    /// computed against *stale* remaining loads even though every slot
-    /// drains them; completions are exactly the moments the head of the
-    /// order changes. `true` (the default) fixes that;
-    /// [`OnlineOptions::legacy`] keeps the old behavior bit-for-bit for
-    /// comparisons (the objective delta is tabulated in EXPERIMENTS.md).
-    pub resort_on_completion: bool,
-}
-
-impl Default for OnlineOptions {
-    fn default() -> Self {
-        OnlineOptions {
-            resort_on_completion: true,
-        }
-    }
-}
-
-impl OnlineOptions {
-    /// The legacy arrival-only re-sort behavior (stale priorities between
-    /// arrivals).
-    pub fn legacy() -> Self {
-        OnlineOptions {
-            resort_on_completion: false,
-        }
-    }
-}
-
-/// The online scheduler: maintains a priority order over *released,
-/// unfinished* coflows by the Smith-style ratio `ρ(remaining) / weight`
-/// (the online analogue of `H_ρ`) and serves a greedy matching in priority
-/// order every slot. Never looks at coflows before their release dates, so
-/// its decisions are legitimately online — which also makes it safe to run
-/// under fault injection: it replans from live state every slot.
-pub struct OnlineRhoPolicy {
-    opts: OnlineOptions,
-    weights: Vec<f64>,
-    /// Arrival events in time order.
-    events: Vec<(u64, usize)>,
-    next_event: usize,
-    active: Vec<usize>,
-    src_used: Vec<bool>,
-    dst_used: Vec<bool>,
-}
-
-impl OnlineRhoPolicy {
-    /// Rebuilds a checkpointed policy: the event list is recomputed from
-    /// the instance (it is a pure function of the release dates); the
-    /// admission cursor and the active set — in their current priority
-    /// order, which a rebuild could not reproduce from drained loads — come
-    /// from the snapshot.
-    pub(crate) fn restore(
-        instance: &Instance,
-        opts: OnlineOptions,
-        next_event: usize,
-        active: Vec<usize>,
-    ) -> Result<Self, coflow_netsim::SnapshotError> {
-        let bad = coflow_netsim::SnapshotError::new;
-        if next_event > instance.len() {
-            return Err(bad("online-rho: admission cursor past the last event"));
-        }
-        if active.iter().any(|&k| k >= instance.len()) {
-            return Err(bad("online-rho: active set references a missing coflow"));
-        }
-        let mut policy = OnlineRhoPolicy::new(instance, opts);
-        policy.next_event = next_event;
-        policy.active = active;
-        Ok(policy)
-    }
-
-    /// Builds the policy over the instance's arrival events.
-    pub fn new(instance: &Instance, opts: OnlineOptions) -> Self {
-        let n = instance.len();
-        let m = instance.ports();
-        let mut events: Vec<(u64, usize)> =
-            instance.releases().iter().copied().zip(0..n).collect();
-        events.sort_unstable();
-        OnlineRhoPolicy {
-            opts,
-            weights: instance.weights(),
-            events,
-            next_event: 0,
-            active: Vec::new(),
-            src_used: vec![false; m],
-            dst_used: vec![false; m],
-        }
-    }
-}
-
-impl Policy for OnlineRhoPolicy {
-    fn name(&self) -> &'static str {
-        "online-rho"
-    }
-
-    fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
-        let now = state.now;
-        // Coflows drained (or cancelled) since the previous decision leave
-        // the active set; with `resort_on_completion` that also refreshes
-        // the priorities.
-        let before = self.active.len();
-        self.active.retain(|&k| state.remaining_total(k) > 0);
-        let completed = self.active.len() != before;
-        // Admit arrivals with release <= now (servable from slot now+1 on).
-        let mut admitted = false;
-        while self.next_event < self.events.len() && self.events[self.next_event].0 <= now {
-            let k = self.events[self.next_event].1;
-            self.next_event += 1;
-            if state.remaining_total(k) > 0 {
-                self.active.push(k);
-                admitted = true;
-            }
-        }
-        if admitted || (self.opts.resort_on_completion && completed) {
-            let weights = &self.weights;
-            self.active.sort_by(|&a, &b| {
-                let ka = state.remaining_matrix(a).load() as f64 / weights[a];
-                let kb = state.remaining_matrix(b).load() as f64 / weights[b];
-                ka.total_cmp(&kb).then(a.cmp(&b))
-            });
-        }
-        if self.active.is_empty() {
-            if self.next_event == self.events.len() {
-                // Nothing active and nothing to come: every coflow is
-                // drained (complete or cancelled).
-                return Ok(Decision::Finished);
-            }
-            // Idle until the next arrival.
-            return Ok(Decision::Advance(self.events[self.next_event].0));
-        }
-        let moves = greedy_match(
-            state.instance.ports(),
-            self.active.iter().copied(),
-            |k| state.remaining_matrix(k),
-            &mut self.src_used,
-            &mut self.dst_used,
-        );
-        debug_assert!(!moves.is_empty(), "active coflows must be servable");
-        Ok(Decision::Run {
-            pairs: moves.into_iter().map(|(i, j, k)| (i, j, vec![k])).collect(),
-            duration: 1,
-        })
-    }
-
-    fn capture_state(&self) -> Option<super::snapshot::PolicyState> {
-        Some(super::snapshot::PolicyState::OnlineRho {
-            resort_on_completion: self.opts.resort_on_completion,
-            next_event: self.next_event,
-            active: self.active.clone(),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// GreedyPolicy: the priority-greedy slot-by-slot baseline.
-// ---------------------------------------------------------------------------
-
-/// The work-conserving greedy baseline (in the spirit of Varys): every
-/// slot, scan coflows in the committed order and greedily match any free
-/// (ingress, egress) pair with remaining demand. Never plans ahead, so it
-/// wastes no capacity on augmentation but offers no worst-case guarantee.
-pub struct GreedyPolicy {
-    order: Vec<usize>,
-    releases: Vec<u64>,
-    src_used: Vec<bool>,
-    dst_used: Vec<bool>,
-}
-
-impl GreedyPolicy {
-    /// Builds the policy with the given committed coflow order.
-    pub fn new(instance: &Instance, order: Vec<usize>) -> Self {
-        let m = instance.ports();
-        GreedyPolicy {
-            releases: instance.releases(),
-            order,
-            src_used: vec![false; m],
-            dst_used: vec![false; m],
-        }
-    }
-}
-
-impl Policy for GreedyPolicy {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
-        let slot = state.now + 1;
-        let releases = &self.releases;
-        let candidates = self
-            .order
-            .iter()
-            .copied()
-            .filter(|&k| state.remaining_total(k) > 0 && releases[k] < slot);
-        let moves = greedy_match(
-            state.instance.ports(),
-            candidates,
-            |k| state.remaining_matrix(k),
-            &mut self.src_used,
-            &mut self.dst_used,
-        );
-        if moves.is_empty() {
-            // Nothing servable: jump to the next release to avoid spinning.
-            // (Any released coflow with remaining demand would have matched
-            // on a free fabric, so unserved demand is strictly future.)
-            let next_release = releases
-                .iter()
-                .enumerate()
-                .filter(|&(k, &r)| state.remaining_total(k) > 0 && r >= slot)
-                .map(|(_, &r)| r)
-                .min()
-                .unwrap_or_else(|| unreachable!("unfinished demand must have a future release"));
-            return Ok(Decision::Advance(next_release));
-        }
-        Ok(Decision::Run {
-            pairs: moves.into_iter().map(|(i, j, k)| (i, j, vec![k])).collect(),
-            duration: 1,
-        })
-    }
-
-    fn final_order(&self, _completions: &[u64]) -> Vec<usize> {
-        self.order.clone()
-    }
-
-    fn capture_state(&self) -> Option<super::snapshot::PolicyState> {
-        Some(super::snapshot::PolicyState::Greedy {
-            order: self.order.clone(),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
 // ResilientPolicy: plan-ahead recovery via the H_LP → H_ρ → H_A chain.
 // ---------------------------------------------------------------------------
 
@@ -1725,19 +1463,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_match_respects_port_exclusivity_and_order() {
-        let a = IntMatrix::from_nested(&[[1, 1], [0, 0]]);
-        let b = IntMatrix::from_nested(&[[1, 0], [0, 1]]);
-        let mats = [a, b];
-        let mut src = vec![false; 2];
-        let mut dst = vec![false; 2];
-        let moves = greedy_match(2, [0usize, 1], |k| &mats[k], &mut src, &mut dst);
-        // Coflow 0 claims (0,0); its (0,1) conflicts on the ingress; coflow
-        // 1 then claims (1,1).
-        assert_eq!(moves, vec![(0, 0, 0), (1, 1, 1)]);
-    }
-
-    #[test]
     fn epoch_state_reports_environment() {
         let instance = inst();
         struct Probe {
@@ -1751,27 +1476,16 @@ mod tests {
                 if self.saw_faults.is_none() {
                     self.saw_faults = Some(state.under_faults());
                 }
-                // Serve everything via a trivial greedy sweep.
-                let n = state.instance.len();
-                let m = state.instance.ports();
-                let mut src = vec![false; m];
-                let mut dst = vec![false; m];
-                let moves = greedy_match(
-                    m,
-                    (0..n).filter(|&k| {
-                        state.remaining_total(k) > 0
-                            && state.instance.coflow(k).release <= state.now
-                    }),
-                    |k| state.remaining_matrix(k),
-                    &mut src,
-                    &mut dst,
-                );
-                if moves.is_empty() {
-                    return Ok(Decision::Advance(state.now + 1));
-                }
-                Ok(Decision::Run {
-                    pairs: moves.into_iter().map(|(i, j, k)| (i, j, vec![k])).collect(),
-                    duration: 1,
+                // Serve one unit of the first servable pair per slot.
+                let servable = (0..state.instance.len())
+                    .filter(|&k| state.instance.coflow(k).release <= state.now)
+                    .find_map(|k| {
+                        let (i, j, _) = state.remaining_matrix(k).nonzero_entries().next()?;
+                        Some((i, j, vec![k]))
+                    });
+                Ok(match servable {
+                    Some(pair) => Decision::Run { pairs: vec![pair], duration: 1 },
+                    None => Decision::Advance(state.now + 1),
                 })
             }
         }

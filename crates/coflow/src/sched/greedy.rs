@@ -1,18 +1,21 @@
-//! Priority-greedy slot-by-slot baseline (extension).
+//! Priority-greedy baseline (extension).
 //!
-//! A work-conserving heuristic in the spirit of Varys: every slot, scan
-//! coflows in priority order and greedily match any free (ingress, egress)
-//! pair with remaining demand. Unlike the BvN-based schedulers it never
-//! plans ahead, so it wastes no capacity on augmentation but offers no
-//! worst-case guarantee. Used as an additional comparison point in the
-//! experiment harness.
+//! A work-conserving heuristic in the spirit of Varys: scan coflows in
+//! priority order and greedily match any free (ingress, egress) pair with
+//! remaining demand, holding the matching until a served pair drains, a
+//! coflow is released, or the fault state changes. Unlike the BvN-based
+//! schedulers it never plans ahead, so it wastes no capacity on
+//! augmentation but offers no worst-case guarantee. Used as an additional
+//! comparison point in the experiment harness.
 //!
-//! The implementation lives in [`engine::GreedyPolicy`]; these entry points
-//! are shims over the engine, which also makes the baseline composable with
-//! fault injection ([`run_greedy_with_faults`]).
+//! The implementation is [`GreedyPolicy`] on the shared greedy-family
+//! dispatcher (`sched::ordered`); these entry points are shims over the
+//! engine, which also makes the baseline composable with fault injection
+//! ([`run_greedy_with_faults`]).
 
 use crate::instance::Instance;
-use crate::sched::engine::{run_policy, run_policy_with_faults, GreedyPolicy};
+use crate::sched::engine::{run_policy, run_policy_with_faults};
+use crate::sched::ordered::GreedyPolicy;
 use crate::sched::recovery::FaultyOutcome;
 use crate::sched::ScheduleOutcome;
 use coflow_netsim::{FaultPlan, SimError};
@@ -26,10 +29,9 @@ pub fn run_greedy(instance: &Instance, order: Vec<usize>) -> ScheduleOutcome {
     }
 }
 
-/// Runs the priority-greedy baseline under fault injection: the per-slot
-/// rescan replans from live (post-fault) remaining demand, so stranded
-/// units are re-served when a path reopens and cancellations simply leave
-/// the scan.
+/// Runs the priority-greedy baseline under fault injection: every decision
+/// rescans live (post-fault) remaining demand, so stranded units are
+/// re-served when a path reopens and cancellations simply leave the scan.
 pub fn run_greedy_with_faults(
     instance: &Instance,
     order: Vec<usize>,

@@ -6,20 +6,21 @@
 //! online heuristic the paper's framework suggests: maintain a priority
 //! order over *released, unfinished* coflows by the Smith-style ratio
 //! `ρ(remaining demand) / weight` — the online analogue of `H_ρ` — and
-//! re-sort whenever the order can change; every slot, serve a greedy
-//! matching in priority order (work conserving, like the backfilled
-//! schedules).
+//! re-sort whenever the order can change; serve a greedy matching in
+//! priority order (work conserving, like the backfilled schedules) and
+//! hold it until the next event — a served pair draining, an arrival, or
+//! a fault-state change.
 //!
 //! The scheduler never looks at coflows before their release dates, so its
-//! decisions are legitimately online. The implementation lives in
-//! [`engine::OnlineRhoPolicy`]; these entry points are shims over the
-//! engine, which also makes the online scheduler composable with fault
-//! injection ([`run_online_with_faults`]).
+//! decisions are legitimately online. The implementation is
+//! [`OnlineRhoPolicy`] on the shared greedy-family dispatcher
+//! (`sched::ordered`); these entry points are shims over the engine, which
+//! also makes the online scheduler composable with fault injection
+//! ([`run_online_with_faults`]).
 
 use crate::instance::Instance;
-use crate::sched::engine::{
-    run_policy, run_policy_with_faults, OnlineOptions, OnlineRhoPolicy,
-};
+use crate::sched::engine::{run_policy, run_policy_with_faults};
+use crate::sched::ordered::{OnlineOptions, OnlineRhoPolicy};
 use crate::sched::recovery::FaultyOutcome;
 use crate::sched::ScheduleOutcome;
 use coflow_netsim::{FaultPlan, SimError};
@@ -42,8 +43,8 @@ pub fn run_online_opts(instance: &Instance, opts: OnlineOptions) -> ScheduleOutc
 }
 
 /// Runs the online scheduler under fault injection: the policy replans
-/// from live (post-fault) remaining demand every slot, so no separate
-/// recovery logic is needed — blocked units strand and are re-served when
+/// from live (post-fault) remaining demand at every decision, so no
+/// separate recovery logic is needed — blocked units strand and are re-served when
 /// a path reopens, and cancellations drop out of the active set.
 pub fn run_online_with_faults(
     instance: &Instance,

@@ -1,106 +1,391 @@
-//! Successor-paper schedulers as first-class engine policies.
+//! The greedy family: four policies, one event-driven dispatcher.
 //!
-//! Two post-QSZ15 algorithms sharpened the paper's deterministic 67/3
-//! guarantee, and both factor cleanly into *permutation + work-conserving
-//! service*:
+//! Four registry policies serve a priority order greedily: scan released,
+//! unfinished coflows in order and claim every free (ingress, egress) pair
+//! with remaining demand. Only the order source differs:
 //!
-//! * [`ShafieeGhaderiPolicy`] — the LP-free combinatorial algorithm of
-//!   Shafiee & Ghaderi (arXiv:1704.08357, 5-approximation): a primal-dual
-//!   sweep over the 2m port loads builds the coflow permutation from the
-//!   back (most-loaded port first, cheapest coflow last), with no LP
-//!   solve anywhere. The permutation is exactly
-//!   [`OrderRule::PortPrimalDual`] (`H_pd`).
-//! * [`ImPurohitPolicy`] — the tight 4-approximation of Im & Purohit
-//!   (arXiv:1707.04331): coflows are ordered by their fractional
-//!   completion times in the interval-indexed LP relaxation (the same
-//!   relaxation the paper's Algorithm 2 rounds), then served in that
-//!   fixed priority order. The permutation is [`OrderRule::LpBased`]
-//!   (`H_LP`).
+//! * [`OnlineRhoPolicy`] — the online analogue of `H_ρ`: released coflows
+//!   ranked by `ρ(remaining) / weight`, re-sorted on every arrival (and, by
+//!   default, every completion); never looks at an unreleased coflow.
+//! * [`GreedyPolicy`] — a caller-supplied permutation (the Varys-style
+//!   baseline: no augmentation waste, no worst-case guarantee).
+//! * [`ShafieeGhaderiPolicy`] — the LP-free primal-dual permutation of
+//!   Shafiee & Ghaderi (arXiv:1704.08357, 5-approx; `H_pd`).
+//! * [`ImPurohitPolicy`] — the interval-LP fractional-completion-time
+//!   order of Im & Purohit (arXiv:1707.04331, 4-approx; `H_LP`).
 //!
-//! Service is the shared [`OrderedDispatch`]: every slot, scan released
-//! unfinished coflows in the committed permutation and greedily match free
-//! (ingress, egress) pairs — the engine's priority-greedy discipline,
-//! which is work-conserving and preemptive at slot granularity, as both
-//! papers assume. The permutations are the papers' contributions; the
-//! approximation bounds (5 and 4, vs the interval-LP lower bound) are
+//! All four run on one `OrderedDispatch`, which decides once per *event*:
+//! a greedy matching only changes when a served entry drains, a coflow is
+//! released, or the fault state changes, so each [`Decision::Run`] holds
+//! for `min(remaining units on every served pair, next release − now,
+//! fault cap)` slots. The fault cap ends the hold before the next
+//! [`EpochState::next_boundary`] `b`; a decision taken at `b − 1` holds
+//! for slot `b` alone, because a cancellation effective in slot `b` is
+//! first visible to the decision after it. Scans are sparse: each coflow's
+//! flow list holds the nonzero `(i, j)` of its demand in row-major order
+//! (a dense residual scan's order), and entries with no live remaining
+//! demand are skipped, so a scan costs `O(nnz)`, not `O(m²)`.
+//!
+//! The slot-expanded schedule equals re-matching every slot (tested against
+//! frozen per-slot loops, clean and under faults, in
+//! `tests/engine_differential.rs`). Remaining demand is reread live from
+//! [`EpochState`], so the policies replan under faults with
+//! [`run_policy_with_faults`]; planning state is the permutation (online:
+//! the admission cursor and active set), captured in [`PolicyState`] for
+//! checkpoints. The 5 and 4 bounds (vs the interval-LP lower bound) are
 //! asserted empirically by the bench crate's tournament tests.
-//!
-//! Both policies reread remaining demand live from [`EpochState`], so
-//! they react to faults (stranded units are rescanned, cancellations
-//! leave the scan) and run unchanged under
-//! [`run_policy_with_faults`](super::engine::run_policy_with_faults).
-//! Planning state is just the committed permutation, captured in
-//! [`PolicyState::ShafieeGhaderi`] / [`PolicyState::ImPurohit`], so the
-//! PR-6 checkpoint/watchdog machinery applies verbatim.
 
 use crate::error::SchedError;
 use crate::instance::Instance;
 use crate::ordering::{compute_order, OrderRule};
-use crate::sched::engine::{
-    greedy_match, run_policy, run_policy_with_faults, Decision, EpochState, Policy,
-};
+use crate::sched::engine::{run_policy, run_policy_with_faults, Decision, EpochState, Policy};
 use crate::sched::recovery::FaultyOutcome;
 use crate::sched::snapshot::PolicyState;
 use crate::sched::ScheduleOutcome;
 use coflow_netsim::{FaultPlan, SimError};
 
-/// The shared slot-reactive dispatcher: a committed coflow permutation
-/// served work-conservingly, one slot at a time. Identical service
-/// discipline to the engine's greedy baseline; the owning policy supplies
-/// the permutation and the snapshot identity.
+/// Behavior knobs of [`OnlineRhoPolicy`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OnlineOptions {
+    /// Re-sort the ρ(remaining)/w priority order at completion epochs too,
+    /// not just on arrivals. The legacy scheduler re-sorted only when a
+    /// coflow arrived, so between arrivals it kept serving an order
+    /// computed against *stale* remaining loads even though every slot
+    /// drains them; completions are exactly the moments the head of the
+    /// order changes. `true` (the default) fixes that;
+    /// [`OnlineOptions::legacy`] keeps the old behavior bit-for-bit for
+    /// comparisons (the objective delta is tabulated in EXPERIMENTS.md).
+    pub resort_on_completion: bool,
+}
+
+impl Default for OnlineOptions {
+    fn default() -> Self {
+        OnlineOptions {
+            resort_on_completion: true,
+        }
+    }
+}
+
+impl OnlineOptions {
+    /// The legacy arrival-only re-sort behavior (stale priorities between
+    /// arrivals).
+    pub fn legacy() -> Self {
+        OnlineOptions {
+            resort_on_completion: false,
+        }
+    }
+}
+
+/// Where a dispatcher's priority order comes from.
+enum Priority {
+    /// A committed permutation; `rank[k]` is coflow `k`'s position in it.
+    Fixed { order: Vec<usize>, rank: Vec<usize> },
+    /// `ρ(remaining) / weight`, re-sorted on arrival (and on completion
+    /// when the options ask for it).
+    Online {
+        opts: OnlineOptions,
+        weights: Vec<f64>,
+    },
+}
+
+/// The shared event-driven dispatcher behind the four greedy-family
+/// policies (module docs for the hold and the sparse scan).
 struct OrderedDispatch {
-    order: Vec<usize>,
-    releases: Vec<u64>,
+    priority: Priority,
+    /// Release events `(release, coflow)` in time order. Events before the
+    /// cursor have been admitted, or skipped because nothing remained.
+    events: Vec<(u64, usize)>,
+    next_event: usize,
+    /// Released coflows with remaining demand, in priority order.
+    active: Vec<usize>,
+    /// Flow lists: coflow `k`'s nonzero demand pairs, row-major, are
+    /// `flows[flow_start[k]..flow_start[k + 1]]`.
+    flow_start: Vec<usize>,
+    flows: Vec<(usize, usize)>,
+    /// Scratch: matcher port masks, per-port sums for ρ (kept zeroed), and
+    /// the re-sort keys.
     src_used: Vec<bool>,
     dst_used: Vec<bool>,
+    row_load: Vec<u64>,
+    col_load: Vec<u64>,
+    keys: Vec<(f64, usize)>,
+    /// Run buffers handed back through [`Policy::recycle`].
+    pairs_pool: Vec<(usize, usize, Vec<usize>)>,
+    spare: Vec<Vec<usize>>,
 }
 
 impl OrderedDispatch {
-    fn new(instance: &Instance, order: Vec<usize>) -> Self {
+    fn new(instance: &Instance, priority: Priority) -> Self {
         let m = instance.ports();
+        let mut events: Vec<(u64, usize)> = instance.releases().into_iter().zip(0..).collect();
+        events.sort_unstable();
+        let mut flow_start = vec![0];
+        let mut flows = Vec::new();
+        for c in instance.coflows() {
+            flows.extend(c.demand.nonzero_entries().map(|(i, j, _)| (i, j)));
+            flow_start.push(flows.len());
+        }
         OrderedDispatch {
-            releases: instance.releases(),
-            order,
+            priority,
+            events,
+            next_event: 0,
+            active: Vec::new(),
+            flow_start,
+            flows,
             src_used: vec![false; m],
             dst_used: vec![false; m],
+            row_load: vec![0; m],
+            col_load: vec![0; m],
+            keys: Vec::new(),
+            pairs_pool: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
-    fn decide(&mut self, state: &EpochState<'_>) -> Decision {
-        let slot = state.now + 1;
-        let releases = &self.releases;
-        let candidates = self
-            .order
-            .iter()
-            .copied()
-            .filter(|&k| state.remaining_total(k) > 0 && releases[k] < slot);
-        let moves = greedy_match(
-            state.instance.ports(),
-            candidates,
-            |k| state.remaining_matrix(k),
-            &mut self.src_used,
-            &mut self.dst_used,
-        );
-        if moves.is_empty() {
-            // Nothing servable now: all remaining demand is strictly
-            // future (a released coflow would have matched on the free
-            // fabric), so jump to the next release instead of spinning.
-            let next_release = self
-                .releases
-                .iter()
-                .enumerate()
-                .filter(|&(k, &r)| state.remaining_total(k) > 0 && r >= slot)
-                .map(|(_, &r)| r)
-                .min()
-                .unwrap_or_else(|| unreachable!("unfinished demand must have a future release"));
-            return Decision::Advance(next_release);
+    fn fixed(instance: &Instance, order: Vec<usize>) -> Self {
+        let mut rank = vec![usize::MAX; instance.len()];
+        for (p, &k) in order.iter().enumerate() {
+            rank[k] = p;
         }
+        Self::new(instance, Priority::Fixed { order, rank })
+    }
+
+    /// The order reported on the outcome: the committed permutation, or
+    /// the completion order for the reactive online policy.
+    fn final_order(&self, completions: &[u64]) -> Vec<usize> {
+        match &self.priority {
+            Priority::Fixed { order, .. } => order.clone(),
+            Priority::Online { .. } => {
+                let mut order: Vec<usize> = (0..completions.len()).collect();
+                order.sort_by_key(|&k| (completions[k], k));
+                order
+            }
+        }
+    }
+
+    /// The committed permutation of a fixed-order dispatcher.
+    fn order(&self) -> Vec<usize> {
+        self.final_order(&[])
+    }
+
+    fn decide(&mut self, state: &EpochState<'_>) -> Decision {
+        let now = state.now;
+        // Coflows drained (or cancelled) since the previous decision leave
+        // the active set; arrivals with release <= now (servable from slot
+        // now+1 on) join it.
+        let before = self.active.len();
+        self.active.retain(|&k| state.remaining_total(k) > 0);
+        let completed = self.active.len() != before;
+        let mut admitted = false;
+        while let Some(&(r, k)) = self.events.get(self.next_event) {
+            if r > now {
+                break;
+            }
+            self.next_event += 1;
+            if state.remaining_total(k) > 0 {
+                self.active.push(k);
+                admitted = true;
+            }
+        }
+        match &self.priority {
+            Priority::Fixed { rank, .. } if admitted => {
+                self.active.sort_unstable_by_key(|&k| rank[k]);
+            }
+            Priority::Online { opts, weights }
+                if admitted || (opts.resort_on_completion && completed) =>
+            {
+                // One ρ/w key per coflow per re-sort; ties break by index.
+                self.keys.clear();
+                for &k in &self.active {
+                    let flows = &self.flows[self.flow_start[k]..self.flow_start[k + 1]];
+                    let rho =
+                        residual_load(state, k, flows, &mut self.row_load, &mut self.col_load);
+                    self.keys.push((rho as f64 / weights[k], k));
+                }
+                self.keys
+                    .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                self.active.clear();
+                self.active.extend(self.keys.iter().map(|&(_, k)| k));
+            }
+            _ => {}
+        }
+        let next_release = self.events[self.next_event..]
+            .iter()
+            .find(|&&(_, k)| state.remaining_total(k) > 0)
+            .map(|&(r, _)| r);
+        if self.active.is_empty() {
+            // Idle until the next arrival; with none left, every coflow is
+            // drained (complete or cancelled).
+            return next_release.map_or(Decision::Finished, Decision::Advance);
+        }
+        // Hold until the next event: a served pair drains, a coflow is
+        // released, or (under faults) the fault state changes.
+        let mut hold = next_release.map_or(u64::MAX, |r| r - now);
+        if let Some(b) = state.next_boundary() {
+            hold = hold.min((b - now - 1).max(1));
+        }
+        self.src_used.fill(false);
+        self.dst_used.fill(false);
+        let mut pairs = std::mem::take(&mut self.pairs_pool);
+        for &k in &self.active {
+            if pairs.len() == self.src_used.len() {
+                break; // every ingress is matched
+            }
+            for &(i, j) in &self.flows[self.flow_start[k]..self.flow_start[k + 1]] {
+                let rem = state.remaining(k, i, j);
+                if self.src_used[i] || self.dst_used[j] || rem == 0 {
+                    continue;
+                }
+                self.src_used[i] = true;
+                self.dst_used[j] = true;
+                hold = hold.min(rem);
+                let mut prio = self.spare.pop().unwrap_or_default();
+                prio.push(k);
+                pairs.push((i, j, prio));
+            }
+        }
+        debug_assert!(!pairs.is_empty(), "released demand is servable");
         Decision::Run {
-            pairs: moves.into_iter().map(|(i, j, k)| (i, j, vec![k])).collect(),
-            duration: 1,
+            pairs,
+            duration: hold,
+        }
+    }
+
+    fn recycle(&mut self, mut pairs: Vec<(usize, usize, Vec<usize>)>) {
+        for (_, _, mut prio) in pairs.drain(..) {
+            prio.clear();
+            self.spare.push(prio);
+        }
+        self.pairs_pool = pairs;
+    }
+}
+
+/// `ρ` of coflow `k`'s remaining demand (its largest port sum), in
+/// `O(nnz)` over its flow list. `row`/`col` must be zero and are left zero.
+fn residual_load(
+    state: &EpochState<'_>,
+    k: usize,
+    flows: &[(usize, usize)],
+    row: &mut [u64],
+    col: &mut [u64],
+) -> u64 {
+    for &(i, j) in flows {
+        let r = state.remaining(k, i, j);
+        row[i] += r;
+        col[j] += r;
+    }
+    let mut load = 0;
+    for &(i, j) in flows {
+        load = load.max(row[i]).max(col[j]);
+        row[i] = 0;
+        col[j] = 0;
+    }
+    load
+}
+
+/// Implements [`Policy`] for a greedy-family policy: everything goes to
+/// its `core` dispatcher except the name and the snapshot variant, built
+/// by `$state` from the policy bound as `$this`.
+macro_rules! greedy_family_policy {
+    ($policy:ty, $name:literal, |$this:ident| $state:expr) => {
+        impl Policy for $policy {
+            fn name(&self) -> &'static str {
+                $name
+            }
+
+            fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
+                Ok(self.core.decide(state))
+            }
+
+            fn final_order(&self, completions: &[u64]) -> Vec<usize> {
+                self.core.final_order(completions)
+            }
+
+            fn recycle(&mut self, pairs: Vec<(usize, usize, Vec<usize>)>) {
+                self.core.recycle(pairs);
+            }
+
+            fn capture_state(&self) -> Option<PolicyState> {
+                let $this = self;
+                Some($state)
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------------
+// Online ρ/w (the online analogue of H_ρ) and the priority-greedy baseline.
+// ---------------------------------------------------------------------------
+
+/// The online scheduler: released, unfinished coflows ranked by the
+/// Smith-style ratio `ρ(remaining) / weight`, served greedily in that
+/// order. Replans from live state, so it is safe under fault injection.
+pub struct OnlineRhoPolicy {
+    core: OrderedDispatch,
+}
+
+impl OnlineRhoPolicy {
+    /// Builds the policy over the instance's arrival events.
+    pub fn new(instance: &Instance, opts: OnlineOptions) -> Self {
+        let weights = instance.weights();
+        let core = OrderedDispatch::new(instance, Priority::Online { opts, weights });
+        OnlineRhoPolicy { core }
+    }
+
+    /// Rebuilds a checkpointed policy: the event list is recomputed from
+    /// the instance (it is a pure function of the release dates); the
+    /// admission cursor and the active set — in their current priority
+    /// order, which a rebuild could not reproduce from drained loads — come
+    /// from the snapshot.
+    pub(crate) fn restore(
+        instance: &Instance,
+        opts: OnlineOptions,
+        next_event: usize,
+        active: Vec<usize>,
+    ) -> Result<Self, coflow_netsim::SnapshotError> {
+        let bad = coflow_netsim::SnapshotError::new;
+        if next_event > instance.len() {
+            return Err(bad("online-rho: admission cursor past the last event"));
+        }
+        if active.iter().any(|&k| k >= instance.len()) {
+            return Err(bad("online-rho: active set references a missing coflow"));
+        }
+        let mut policy = OnlineRhoPolicy::new(instance, opts);
+        policy.core.next_event = next_event;
+        policy.core.active = active;
+        Ok(policy)
+    }
+}
+
+greedy_family_policy!(OnlineRhoPolicy, "online-rho", |p| {
+    let Priority::Online { opts, .. } = &p.core.priority else {
+        unreachable!("the online policy owns an online dispatcher")
+    };
+    PolicyState::OnlineRho {
+        resort_on_completion: opts.resort_on_completion,
+        next_event: p.core.next_event,
+        active: p.core.active.clone(),
+    }
+});
+
+/// The work-conserving greedy baseline (in the spirit of Varys): coflows
+/// served greedily in a committed order.
+pub struct GreedyPolicy {
+    core: OrderedDispatch,
+}
+
+impl GreedyPolicy {
+    /// Builds the policy with the given committed coflow order.
+    pub fn new(instance: &Instance, order: Vec<usize>) -> Self {
+        GreedyPolicy {
+            core: OrderedDispatch::fixed(instance, order),
         }
     }
 }
+
+greedy_family_policy!(GreedyPolicy, "greedy", |p| PolicyState::Greedy {
+    order: p.core.order()
+});
 
 // ---------------------------------------------------------------------------
 // Shafiee–Ghaderi: LP-free primal-dual permutation (5-approx).
@@ -123,30 +408,16 @@ impl ShafieeGhaderiPolicy {
     /// permutation, skipping the primal-dual sweep.
     pub fn with_order(instance: &Instance, order: Vec<usize>) -> Self {
         ShafieeGhaderiPolicy {
-            core: OrderedDispatch::new(instance, order),
+            core: OrderedDispatch::fixed(instance, order),
         }
     }
 }
 
-impl Policy for ShafieeGhaderiPolicy {
-    fn name(&self) -> &'static str {
-        "shafiee-ghaderi"
+greedy_family_policy!(ShafieeGhaderiPolicy, "shafiee-ghaderi", |p| {
+    PolicyState::ShafieeGhaderi {
+        order: p.core.order(),
     }
-
-    fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
-        Ok(self.core.decide(state))
-    }
-
-    fn final_order(&self, _completions: &[u64]) -> Vec<usize> {
-        self.core.order.clone()
-    }
-
-    fn capture_state(&self) -> Option<PolicyState> {
-        Some(PolicyState::ShafieeGhaderi {
-            order: self.core.order.clone(),
-        })
-    }
-}
+});
 
 /// Runs the Shafiee–Ghaderi scheduler on a clean fabric.
 pub fn run_shafiee_ghaderi(instance: &Instance) -> ScheduleOutcome {
@@ -157,8 +428,8 @@ pub fn run_shafiee_ghaderi(instance: &Instance) -> ScheduleOutcome {
     }
 }
 
-/// Runs the Shafiee–Ghaderi scheduler under fault injection: the slot
-/// rescan replans from live remaining demand, so stranded units are
+/// Runs the Shafiee–Ghaderi scheduler under fault injection: every
+/// decision rescans live remaining demand, so stranded units are
 /// re-served when a path reopens and cancellations leave the scan.
 pub fn run_shafiee_ghaderi_with_faults(
     instance: &Instance,
@@ -189,30 +460,14 @@ impl ImPurohitPolicy {
     /// or pre-solved) permutation, skipping the LP solve.
     pub fn with_order(instance: &Instance, order: Vec<usize>) -> Self {
         ImPurohitPolicy {
-            core: OrderedDispatch::new(instance, order),
+            core: OrderedDispatch::fixed(instance, order),
         }
     }
 }
 
-impl Policy for ImPurohitPolicy {
-    fn name(&self) -> &'static str {
-        "im-purohit"
-    }
-
-    fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
-        Ok(self.core.decide(state))
-    }
-
-    fn final_order(&self, _completions: &[u64]) -> Vec<usize> {
-        self.core.order.clone()
-    }
-
-    fn capture_state(&self) -> Option<PolicyState> {
-        Some(PolicyState::ImPurohit {
-            order: self.core.order.clone(),
-        })
-    }
-}
+greedy_family_policy!(ImPurohitPolicy, "im-purohit", |p| PolicyState::ImPurohit {
+    order: p.core.order()
+});
 
 /// Runs the Im–Purohit scheduler on a clean fabric (solves the LP).
 pub fn run_im_purohit(instance: &Instance) -> ScheduleOutcome {

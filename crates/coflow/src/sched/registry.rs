@@ -26,10 +26,10 @@
 
 use crate::instance::Instance;
 use crate::ordering::{compute_order, OrderRule};
-use crate::sched::engine::{
-    BvnBatchPolicy, GreedyPolicy, OnlineOptions, OnlineRhoPolicy, Policy, ResilientPolicy,
+use crate::sched::engine::{BvnBatchPolicy, Policy, ResilientPolicy};
+use crate::sched::ordered::{
+    GreedyPolicy, ImPurohitPolicy, OnlineOptions, OnlineRhoPolicy, ShafieeGhaderiPolicy,
 };
-use crate::sched::ordered::{ImPurohitPolicy, ShafieeGhaderiPolicy};
 use crate::sched::{AlgorithmSpec, ExecOptions};
 use coflow_lp::SimplexOptions;
 use std::sync::OnceLock;

@@ -38,10 +38,8 @@
 //! is bit-identical to the bare rung; tests use `Some(Duration::ZERO)` to
 //! fire on every decision deterministically.
 
-use super::engine::{
-    BvnBatchPolicy, Decision, EpochState, GreedyPolicy, OnlineOptions, OnlineRhoPolicy, Policy,
-    ResilientPolicy,
-};
+use super::engine::{BvnBatchPolicy, Decision, EpochState, Policy, ResilientPolicy};
+use super::ordered::{GreedyPolicy, OnlineOptions, OnlineRhoPolicy};
 use super::snapshot::PolicyState;
 use crate::error::SchedError;
 use crate::instance::Instance;

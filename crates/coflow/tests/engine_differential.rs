@@ -9,6 +9,14 @@
 //! the system under test. Seeded random grids keep the comparison
 //! reproducible.
 //!
+//! The `per_slot` module freezes the greedy-family policies as they stood
+//! before event-driven service: one `Decision::Run` of `duration: 1` per
+//! busy slot. The event-driven dispatcher holds each matching until the
+//! next event, so its run-length traces differ; the contract is that the
+//! *slot-expanded* schedules (`ScheduleTrace::for_each_slot`), completions,
+//! order and objective bits are identical, clean and under faults (where
+//! `replans`, `tiers` and the blocked accounting must match too).
+//!
 //! A proptest at the end covers the newly composable combinations: the
 //! online and greedy policies under fault injection must settle every
 //! non-cancelled unit of demand (replay-verified by
@@ -17,12 +25,13 @@
 use coflow::sched::{AlgorithmSpec, ExecOptions, ScheduleOutcome};
 use coflow::{
     compute_order, run_greedy, run_greedy_with_faults, run_online_opts, run_online_with_faults,
-    run_with_faults, run_with_order_opts, verify_faulty_outcome, Coflow, Instance, OnlineOptions,
-    OrderRule,
+    run_policy, run_policy_with_faults, run_with_faults, run_with_order_opts,
+    verify_faulty_outcome, Coflow, FaultyOutcome, GreedyPolicy, ImPurohitPolicy, Instance,
+    OnlineOptions, OnlineRhoPolicy, OrderRule, Policy, ShafieeGhaderiPolicy,
 };
 use coflow_lp::SimplexOptions;
 use coflow_matching::IntMatrix;
-use coflow_netsim::FaultPlan;
+use coflow_netsim::{FaultEvent, FaultPlan, ScheduleTrace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,7 +65,7 @@ mod legacy {
         let m = instance.ports();
         let demands = instance.demand_matrices();
         let releases = instance.releases();
-        let mut fabric = Fabric::new(instance.ports(), &demands, &releases);
+        let mut fabric = Fabric::new(instance.ports(), demands.clone(), &releases);
 
         let mut pos = vec![usize::MAX; n];
         for (p, &k) in order.iter().enumerate() {
@@ -429,7 +438,7 @@ mod legacy {
         let m = instance.ports();
         let mut sim = FaultSim::new(
             m,
-            &instance.demand_matrices(),
+            instance.demand_matrices(),
             &instance.releases(),
             plan.clone(),
         );
@@ -492,6 +501,187 @@ mod legacy {
     }
 }
 
+/// Frozen per-slot greedy-family policies, verbatim from before the
+/// event-driven dispatcher (one decision per busy slot, dense residual
+/// scans). Do not edit: they are the reference the dispatcher must match
+/// slot for slot.
+mod per_slot {
+    use coflow::{Decision, EpochState, Instance, OnlineOptions, Policy, SchedError};
+    use coflow_matching::IntMatrix;
+
+    /// The pre-change `engine::greedy_match`.
+    fn greedy_match<'a, I, F>(
+        m: usize,
+        candidates: I,
+        remaining: F,
+        src_used: &mut [bool],
+        dst_used: &mut [bool],
+    ) -> Vec<(usize, usize, usize)>
+    where
+        I: IntoIterator<Item = usize>,
+        F: Fn(usize) -> &'a IntMatrix,
+    {
+        src_used.iter_mut().for_each(|b| *b = false);
+        dst_used.iter_mut().for_each(|b| *b = false);
+        let mut moves: Vec<(usize, usize, usize)> = Vec::new();
+        let mut matched = 0usize;
+        for k in candidates {
+            if matched == m {
+                break;
+            }
+            for (i, j, _) in remaining(k).nonzero_entries() {
+                if !src_used[i] && !dst_used[j] {
+                    src_used[i] = true;
+                    dst_used[j] = true;
+                    matched += 1;
+                    moves.push((i, j, k));
+                }
+            }
+        }
+        moves
+    }
+
+    /// The pre-change `GreedyPolicy` / `OrderedDispatch` (the two were
+    /// verbatim copies): a fixed permutation served one slot at a time.
+    pub struct SlotGreedy {
+        order: Vec<usize>,
+        releases: Vec<u64>,
+        src_used: Vec<bool>,
+        dst_used: Vec<bool>,
+    }
+
+    impl SlotGreedy {
+        pub fn new(instance: &Instance, order: Vec<usize>) -> Self {
+            let m = instance.ports();
+            SlotGreedy {
+                releases: instance.releases(),
+                order,
+                src_used: vec![false; m],
+                dst_used: vec![false; m],
+            }
+        }
+    }
+
+    impl Policy for SlotGreedy {
+        fn name(&self) -> &'static str {
+            "per-slot-greedy"
+        }
+
+        fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
+            let slot = state.now + 1;
+            let releases = &self.releases;
+            let candidates = self
+                .order
+                .iter()
+                .copied()
+                .filter(|&k| state.remaining_total(k) > 0 && releases[k] < slot);
+            let moves = greedy_match(
+                state.instance.ports(),
+                candidates,
+                |k| state.remaining_matrix(k),
+                &mut self.src_used,
+                &mut self.dst_used,
+            );
+            if moves.is_empty() {
+                let next_release = releases
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, &r)| state.remaining_total(k) > 0 && r >= slot)
+                    .map(|(_, &r)| r)
+                    .min()
+                    .unwrap_or_else(|| unreachable!("unfinished demand must have a future release"));
+                return Ok(Decision::Advance(next_release));
+            }
+            Ok(Decision::Run {
+                pairs: moves.into_iter().map(|(i, j, k)| (i, j, vec![k])).collect(),
+                duration: 1,
+            })
+        }
+
+        fn final_order(&self, _completions: &[u64]) -> Vec<usize> {
+            self.order.clone()
+        }
+    }
+
+    /// The pre-change `OnlineRhoPolicy`.
+    pub struct SlotOnline {
+        opts: OnlineOptions,
+        weights: Vec<f64>,
+        events: Vec<(u64, usize)>,
+        next_event: usize,
+        active: Vec<usize>,
+        src_used: Vec<bool>,
+        dst_used: Vec<bool>,
+    }
+
+    impl SlotOnline {
+        pub fn new(instance: &Instance, opts: OnlineOptions) -> Self {
+            let n = instance.len();
+            let m = instance.ports();
+            let mut events: Vec<(u64, usize)> =
+                instance.releases().iter().copied().zip(0..n).collect();
+            events.sort_unstable();
+            SlotOnline {
+                opts,
+                weights: instance.weights(),
+                events,
+                next_event: 0,
+                active: Vec::new(),
+                src_used: vec![false; m],
+                dst_used: vec![false; m],
+            }
+        }
+    }
+
+    impl Policy for SlotOnline {
+        fn name(&self) -> &'static str {
+            "per-slot-online"
+        }
+
+        fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
+            let now = state.now;
+            let before = self.active.len();
+            self.active.retain(|&k| state.remaining_total(k) > 0);
+            let completed = self.active.len() != before;
+            let mut admitted = false;
+            while self.next_event < self.events.len() && self.events[self.next_event].0 <= now {
+                let k = self.events[self.next_event].1;
+                self.next_event += 1;
+                if state.remaining_total(k) > 0 {
+                    self.active.push(k);
+                    admitted = true;
+                }
+            }
+            if admitted || (self.opts.resort_on_completion && completed) {
+                let weights = &self.weights;
+                self.active.sort_by(|&a, &b| {
+                    let ka = state.remaining_matrix(a).load() as f64 / weights[a];
+                    let kb = state.remaining_matrix(b).load() as f64 / weights[b];
+                    ka.total_cmp(&kb).then(a.cmp(&b))
+                });
+            }
+            if self.active.is_empty() {
+                if self.next_event == self.events.len() {
+                    return Ok(Decision::Finished);
+                }
+                return Ok(Decision::Advance(self.events[self.next_event].0));
+            }
+            let moves = greedy_match(
+                state.instance.ports(),
+                self.active.iter().copied(),
+                |k| state.remaining_matrix(k),
+                &mut self.src_used,
+                &mut self.dst_used,
+            );
+            debug_assert!(!moves.is_empty(), "active coflows must be servable");
+            Ok(Decision::Run {
+                pairs: moves.into_iter().map(|(i, j, k)| (i, j, vec![k])).collect(),
+                duration: 1,
+            })
+        }
+    }
+}
+
 /// Seeded random instance: `m` ports, `n` coflows, entries `0..6`,
 /// releases `0..=max_release`, weights drawn from `{0.5, 1.0, …, 4.0}`.
 fn seeded_instance(m: usize, n: usize, max_release: u64, seed: u64) -> Instance {
@@ -521,6 +711,150 @@ fn assert_outcomes_identical(label: &str, new: &ScheduleOutcome, old: &ScheduleO
         new.objective,
         old.objective
     );
+}
+
+/// Slot-by-slot expansion of a trace: `(slot, unit moves)` for every
+/// scheduled slot, in time order.
+type SlotSchedule = Vec<(u64, Vec<(usize, usize, usize)>)>;
+
+fn slot_schedule(trace: &ScheduleTrace) -> SlotSchedule {
+    let mut slots = Vec::new();
+    trace.for_each_slot(|slot, moves| slots.push((slot, moves.to_vec())));
+    slots
+}
+
+/// Like [`assert_outcomes_identical`], but compares the slot-expanded
+/// schedule instead of the run-length encoding, which event-driven holds
+/// legitimately coarsen.
+fn assert_slot_schedules_identical(label: &str, new: &ScheduleOutcome, old: &ScheduleOutcome) {
+    assert_eq!(
+        slot_schedule(&new.trace),
+        slot_schedule(&old.trace),
+        "{}: slot schedule diverged",
+        label
+    );
+    assert_eq!(new.completions, old.completions, "{}: completions diverged", label);
+    assert_eq!(new.order, old.order, "{}: order diverged", label);
+    assert_eq!(
+        new.objective.to_bits(),
+        old.objective.to_bits(),
+        "{}: objective not bit-identical ({} vs {})",
+        label,
+        new.objective,
+        old.objective
+    );
+}
+
+/// The fault-run counterpart of [`assert_slot_schedules_identical`]: also
+/// requires equal epoch accounting and blocked-unit forensics.
+fn assert_faulty_identical(label: &str, new: &FaultyOutcome, old: &FaultyOutcome) {
+    assert_eq!(
+        slot_schedule(&new.executed),
+        slot_schedule(&old.executed),
+        "{}: executed slot schedule diverged",
+        label
+    );
+    assert_eq!(new.completions, old.completions, "{}: completions", label);
+    assert_eq!(new.objective.to_bits(), old.objective.to_bits(), "{}: objective bits", label);
+    assert_eq!(new.replans, old.replans, "{}: replans", label);
+    assert_eq!(new.tiers, old.tiers, "{}: tiers", label);
+    assert_eq!(new.blocked_units, old.blocked_units, "{}: blocked units", label);
+    assert_eq!(new.blocked, old.blocked, "{}: blocked log", label);
+}
+
+/// One greedy-family policy, event-driven and frozen per-slot, over the
+/// same priority source.
+fn greedy_family(instance: &Instance, which: usize) -> (&'static str, Box<dyn Policy>, Box<dyn Policy>) {
+    let fixed = |rule| compute_order(instance, rule);
+    match which {
+        0 => (
+            "online",
+            Box::new(OnlineRhoPolicy::new(instance, OnlineOptions::default())),
+            Box::new(per_slot::SlotOnline::new(instance, OnlineOptions::default())),
+        ),
+        1 => (
+            "online-stale",
+            Box::new(OnlineRhoPolicy::new(instance, OnlineOptions::legacy())),
+            Box::new(per_slot::SlotOnline::new(instance, OnlineOptions::legacy())),
+        ),
+        2 => (
+            "greedy",
+            Box::new(GreedyPolicy::new(instance, fixed(OrderRule::LoadOverWeight))),
+            Box::new(per_slot::SlotGreedy::new(instance, fixed(OrderRule::LoadOverWeight))),
+        ),
+        3 => (
+            "shafiee-ghaderi",
+            Box::new(ShafieeGhaderiPolicy::new(instance)),
+            Box::new(per_slot::SlotGreedy::new(instance, fixed(OrderRule::PortPrimalDual))),
+        ),
+        _ => {
+            let order = fixed(OrderRule::LpBased);
+            (
+                "im-purohit",
+                Box::new(ImPurohitPolicy::with_order(instance, order.clone())),
+                Box::new(per_slot::SlotGreedy::new(instance, order)),
+            )
+        }
+    }
+}
+
+const GREEDY_FAMILY: usize = 5;
+
+/// Runs every greedy-family policy event-driven and per-slot on `instance`
+/// (clean, and under `plan` when given) and requires identical schedules.
+fn check_greedy_family(label: &str, instance: &Instance, plan: Option<&FaultPlan>) {
+    for which in 0..GREEDY_FAMILY {
+        let (name, mut new, mut old) = greedy_family(instance, which);
+        let label = format!("{} {}", label, name);
+        match plan {
+            None => {
+                let new = run_policy(instance, new.as_mut()).expect("event-driven run");
+                let old = run_policy(instance, old.as_mut()).expect("per-slot run");
+                assert_slot_schedules_identical(&label, &new, &old);
+            }
+            Some(plan) => {
+                let new = run_policy_with_faults(instance, new.as_mut(), plan)
+                    .expect("event-driven fault run");
+                let old = run_policy_with_faults(instance, old.as_mut(), plan)
+                    .expect("per-slot fault run");
+                assert_faulty_identical(&label, &new, &old);
+            }
+        }
+    }
+}
+
+/// A cancellation effective in slot `now + 1` must end the hold there:
+/// the per-slot online policy re-sorts at that slot. Coflow 0 (ratio 1)
+/// holds pair (0,0) ahead of U (ratio 2) while S drains (1,1); 0 is
+/// cancelled at slot 5, after which S's remaining ratio (1) beats U's. A
+/// hold that ran through slot 5 would idle (0,0) in slot 6 instead of
+/// serving S there.
+#[test]
+fn cancellation_in_the_next_slot_ends_the_hold() {
+    let x = Coflow::new(0, IntMatrix::from_nested(&[[8, 0], [0, 0]])).with_weight(8.0);
+    let u = Coflow::new(1, IntMatrix::from_nested(&[[3, 0], [0, 0]])).with_weight(1.5);
+    let s = Coflow::new(2, IntMatrix::from_nested(&[[1, 0], [0, 6]]));
+    let inst = Instance::new(2, vec![x, u, s]);
+    let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled { coflow: 0, at: 5 }]);
+    check_greedy_family("cancel@5", &inst, Some(&plan));
+    let out = run_online_with_faults(&inst, OnlineOptions::default(), &plan).unwrap();
+    assert_eq!(out.completions, vec![None, Some(9), Some(6)]);
+}
+
+/// Seeded grid: every greedy-family policy, event-driven, matches its
+/// frozen per-slot loop clean and under generated fault plans.
+#[test]
+fn greedy_family_matches_per_slot_loops() {
+    for (seed, m, n, max_release) in
+        [(51u64, 2, 5, 0), (52, 3, 8, 12), (53, 4, 10, 25), (54, 5, 14, 8)]
+    {
+        let inst = seeded_instance(m, n, max_release, seed);
+        check_greedy_family(&format!("seed {}", seed), &inst, None);
+        for rate in [0.2, 0.5] {
+            let plan = FaultPlan::generate(m, n, 60, rate, seed.wrapping_mul(17));
+            check_greedy_family(&format!("seed {} rate {}", seed, rate), &inst, Some(&plan));
+        }
+    }
 }
 
 /// Tentpole gate: `BvnBatchPolicy` through the engine reproduces the frozen
@@ -585,7 +919,7 @@ fn online_policy_matches_frozen_loop_in_legacy_mode() {
         let inst = seeded_instance(m, n, max_release, seed);
         let new = run_online_opts(&inst, OnlineOptions::legacy());
         let old = legacy::run_online(&inst);
-        assert_outcomes_identical(&format!("online seed {}", seed), &new, &old);
+        assert_slot_schedules_identical(&format!("online seed {}", seed), &new, &old);
     }
 }
 
@@ -600,7 +934,7 @@ fn greedy_policy_matches_frozen_loop() {
             let order = compute_order(&inst, rule);
             let new = run_greedy(&inst, order.clone());
             let old = legacy::run_greedy(&inst, order);
-            assert_outcomes_identical(&format!("greedy seed {} {:?}", seed, rule), &new, &old);
+            assert_slot_schedules_identical(&format!("greedy seed {} {:?}", seed, rule), &new, &old);
         }
     }
 }
@@ -668,6 +1002,21 @@ fn instance_strategy() -> impl Strategy<Value = Instance> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Event-driven greedy-family service is slot-for-slot the per-slot
+    /// loop it replaced, on generated instances with releases, clean and
+    /// under generated fault plans (outages, degraded links, cancellations).
+    #[test]
+    fn greedy_family_matches_per_slot_under_generated_plans(
+        inst in instance_strategy(),
+        rate in 0.0f64..0.7,
+        horizon in 4u64..48,
+        seed in 0u64..1u64 << 32,
+    ) {
+        check_greedy_family("clean", &inst, None);
+        let plan = FaultPlan::generate(inst.ports(), inst.len(), horizon, rate, seed);
+        check_greedy_family(&format!("plan seed {}", seed), &inst, Some(&plan));
+    }
 
     /// The newly composable cells: online-under-faults and
     /// greedy-under-faults settle every non-cancelled unit of demand under

@@ -135,9 +135,10 @@ impl IntMatrix {
     /// assert_eq!(d.load(), 3); // every row and column sums to 3
     /// ```
     pub fn load(&self) -> u64 {
-        let row_max = (0..self.m).map(|i| self.row_sum(i)).max().unwrap_or(0);
-        let col_max = self.col_sums().into_iter().max().unwrap_or(0);
-        row_max.max(col_max)
+        (0..self.m)
+            .map(|p| self.row_sum(p).max(self.col_sum(p)))
+            .max()
+            .unwrap_or(0)
     }
 
     /// True if every entry is zero.

@@ -42,11 +42,12 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Creates a fabric loaded with the given coflow demands and release
-    /// dates. All matrices must be `m × m`.
-    pub fn new(m: usize, demands: &[IntMatrix], releases: &[u64]) -> Self {
+    /// Creates a fabric loaded with the given coflow demands (taken over
+    /// as the residual state, not copied) and release dates. All matrices
+    /// must be `m × m`.
+    pub fn new(m: usize, demands: Vec<IntMatrix>, releases: &[u64]) -> Self {
         assert_eq!(demands.len(), releases.len());
-        for d in demands {
+        for d in &demands {
             assert_eq!(d.dim(), m, "demand matrix dimension mismatch");
         }
         let remaining_total: Vec<u64> = demands.iter().map(IntMatrix::total).collect();
@@ -59,7 +60,7 @@ impl Fabric {
         Fabric {
             m,
             last_activity: vec![0; demands.len()],
-            remaining: demands.to_vec(),
+            remaining: demands,
             remaining_total,
             releases: releases.to_vec(),
             completion,
@@ -279,8 +280,7 @@ mod tests {
     #[test]
     fn fig1_completes_in_three_slots() {
         // Matchings from the paper: identity, then anti-diagonal twice.
-        let demands = fig1();
-        let mut f = Fabric::new(2, &demands, &[0]);
+        let mut f = Fabric::new(2, fig1(), &[0]);
         f.apply_run(&[(0, 0, vec![0]), (1, 1, vec![0])], 1);
         f.apply_run(&[(0, 1, vec![0]), (1, 0, vec![0])], 2);
         assert!(f.all_done());
@@ -295,7 +295,7 @@ mod tests {
         // One pair, demand 2, run of 5 slots: completes at slot 2.
         let mut d = IntMatrix::zeros(2);
         d[(0, 1)] = 2;
-        let mut f = Fabric::new(2, &[d], &[0]);
+        let mut f = Fabric::new(2, vec![d], &[0]);
         f.apply_run(&[(0, 1, vec![0])], 5);
         assert_eq!(f.completion_times(), &[Some(2)]);
         assert_eq!(f.now(), 5);
@@ -308,7 +308,7 @@ mod tests {
         d0[(0, 1)] = 3;
         let mut d1 = IntMatrix::zeros(2);
         d1[(0, 1)] = 2;
-        let mut f = Fabric::new(2, &[d0, d1], &[0, 0]);
+        let mut f = Fabric::new(2, vec![d0, d1], &[0, 0]);
         f.apply_run(&[(0, 1, vec![0, 1])], 10);
         assert_eq!(f.completion_times(), &[Some(3), Some(5)]);
     }
@@ -316,7 +316,7 @@ mod tests {
     #[test]
     fn zero_demand_coflow_completes_at_release() {
         let d = IntMatrix::zeros(2);
-        let f = Fabric::new(2, &[d], &[7]);
+        let f = Fabric::new(2, vec![d], &[7]);
         assert_eq!(f.completion_times(), &[Some(7)]);
         assert!(f.all_done());
     }
@@ -325,7 +325,7 @@ mod tests {
     fn advance_to_models_idle_waiting() {
         let mut d = IntMatrix::zeros(2);
         d[(1, 0)] = 1;
-        let mut f = Fabric::new(2, &[d], &[4]);
+        let mut f = Fabric::new(2, vec![d], &[4]);
         f.advance_to(4);
         f.apply_run(&[(1, 0, vec![0])], 1);
         assert_eq!(f.completion_times(), &[Some(5)]);
@@ -336,7 +336,7 @@ mod tests {
     fn release_dates_enforced() {
         let mut d = IntMatrix::zeros(2);
         d[(0, 0)] = 1;
-        let mut f = Fabric::new(2, &[d], &[3]);
+        let mut f = Fabric::new(2, vec![d], &[3]);
         f.apply_run(&[(0, 0, vec![0])], 1);
     }
 
@@ -346,7 +346,7 @@ mod tests {
         let mut d = IntMatrix::zeros(2);
         d[(0, 0)] = 1;
         d[(0, 1)] = 1;
-        let mut f = Fabric::new(2, &[d], &[0]);
+        let mut f = Fabric::new(2, vec![d], &[0]);
         f.apply_run(&[(0, 0, vec![0]), (0, 1, vec![0])], 1);
     }
 
@@ -358,7 +358,7 @@ mod tests {
         d1[(0, 1)] = 1;
         let demands = [d0, d1];
 
-        let mut f = Fabric::new(2, &demands, &[0, 0]);
+        let mut f = Fabric::new(2, demands.to_vec(), &[0, 0]);
         f.apply_run(&[(0, 1, vec![0, 1])], 3);
 
         let mut s = SlotSim::new(2, &demands, &[0, 0]);
@@ -373,7 +373,7 @@ mod tests {
     fn budget_caps_transfers() {
         let mut d = IntMatrix::zeros(2);
         d[(0, 1)] = 10;
-        let mut f = Fabric::new(2, &[d], &[0]);
+        let mut f = Fabric::new(2, vec![d], &[0]);
         f.apply_run(&[(0, 1, vec![0])], 4);
         assert_eq!(f.remaining(0, 0, 1), 6);
         assert!(!f.all_done());

@@ -391,11 +391,15 @@ pub struct FaultSim {
     blocked_units: u64,
     blocked_log: Vec<BlockedSlot>,
     blocked_log_dropped: u64,
+    /// Scratch port-occupancy masks reused across `step` calls.
+    src_used: Vec<bool>,
+    dst_used: Vec<bool>,
 }
 
 impl FaultSim {
-    /// Creates a fault-aware simulator over the instance data.
-    pub fn new(m: usize, demands: &[IntMatrix], releases: &[u64], plan: FaultPlan) -> Self {
+    /// Creates a fault-aware simulator over the instance data; `demands`
+    /// becomes the residual state without a copy.
+    pub fn new(m: usize, demands: Vec<IntMatrix>, releases: &[u64], plan: FaultPlan) -> Self {
         assert_eq!(demands.len(), releases.len());
         let remaining_total: Vec<u64> = demands.iter().map(IntMatrix::total).collect();
         let completion = remaining_total
@@ -403,20 +407,23 @@ impl FaultSim {
             .zip(releases)
             .map(|(&tot, &r)| if tot == 0 { Some(r) } else { None })
             .collect();
+        let n = demands.len();
         FaultSim {
             m,
-            remaining: demands.to_vec(),
+            remaining: demands,
             remaining_total,
             releases: releases.to_vec(),
             completion,
-            last_activity: vec![0; demands.len()],
-            cancelled: vec![false; demands.len()],
+            last_activity: vec![0; n],
+            cancelled: vec![false; n],
             now: 0,
             plan,
             executed: ScheduleTrace::new(m),
             blocked_units: 0,
             blocked_log: Vec::new(),
             blocked_log_dropped: 0,
+            src_used: vec![false; m],
+            dst_used: vec![false; m],
         }
     }
 
@@ -518,8 +525,8 @@ impl FaultSim {
         let slot = self.now + 1;
         // Cancellations effective at this slot fire before service.
         self.apply_cancellations();
-        let mut src_used = vec![false; self.m];
-        let mut dst_used = vec![false; self.m];
+        self.src_used.fill(false);
+        self.dst_used.fill(false);
         let mut out = SlotOutcome {
             slot,
             ..SlotOutcome::default()
@@ -534,14 +541,14 @@ impl FaultSim {
             if k >= self.remaining.len() {
                 return Err(SimError::UnknownCoflow { coflow: k });
             }
-            if src_used[i] {
+            if self.src_used[i] {
                 return Err(SimError::PortMatchedTwice { slot, port: i, ingress: true });
             }
-            if dst_used[j] {
+            if self.dst_used[j] {
                 return Err(SimError::PortMatchedTwice { slot, port: j, ingress: false });
             }
-            src_used[i] = true;
-            dst_used[j] = true;
+            self.src_used[i] = true;
+            self.dst_used[j] = true;
             if self.cancelled[k] {
                 out.dropped.push((i, j, k));
                 continue;
@@ -928,6 +935,8 @@ impl FaultSim {
             blocked_units: state.blocked_units,
             blocked_log: state.blocked_log,
             blocked_log_dropped: state.blocked_log_dropped,
+            src_used: vec![false; state.m],
+            dst_used: vec![false; state.m],
         })
     }
 
@@ -990,7 +999,7 @@ mod tests {
     #[test]
     fn blocked_units_are_stranded_not_lost() {
         let plan = FaultPlan::new(vec![FaultEvent::IngressOutage { port: 0, start: 1, end: 2 }]);
-        let mut sim = FaultSim::new(2, &[demand(3)], &[0], plan);
+        let mut sim = FaultSim::new(2, vec![demand(3)], &[0], plan);
         // Slots 1 and 2 blocked, 3..5 deliver.
         for _ in 0..5 {
             sim.step(&[(0, 1, 0)]).unwrap();
@@ -1007,7 +1016,7 @@ mod tests {
     #[test]
     fn blocked_log_records_each_denied_unit() {
         let plan = FaultPlan::new(vec![FaultEvent::IngressOutage { port: 0, start: 1, end: 2 }]);
-        let mut sim = FaultSim::new(2, &[demand(3)], &[0], plan);
+        let mut sim = FaultSim::new(2, vec![demand(3)], &[0], plan);
         for _ in 0..5 {
             sim.step(&[(0, 1, 0)]).unwrap();
         }
@@ -1024,7 +1033,7 @@ mod tests {
     #[test]
     fn cancellation_drops_remaining_demand() {
         let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled { coflow: 0, at: 3 }]);
-        let mut sim = FaultSim::new(2, &[demand(5), demand(0)], &[0, 0], plan);
+        let mut sim = FaultSim::new(2, vec![demand(5), demand(0)], &[0, 0], plan);
         sim.step(&[(0, 1, 0)]).unwrap();
         sim.step(&[(0, 1, 0)]).unwrap();
         assert!(!sim.is_cancelled(0));
@@ -1039,7 +1048,7 @@ mod tests {
     #[test]
     fn cancellation_after_completion_is_a_noop() {
         let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled { coflow: 0, at: 9 }]);
-        let mut sim = FaultSim::new(2, &[demand(1)], &[0], plan);
+        let mut sim = FaultSim::new(2, vec![demand(1)], &[0], plan);
         sim.step(&[(0, 1, 0)]).unwrap();
         sim.advance_to(20);
         assert_eq!(sim.completion_times(), &[Some(1)]);
@@ -1048,17 +1057,17 @@ mod tests {
 
     #[test]
     fn structural_violations_error() {
-        let mut sim = FaultSim::new(2, &[demand(2), demand(2)], &[0, 5], FaultPlan::default());
+        let mut sim = FaultSim::new(2, vec![demand(2), demand(2)], &[0, 5], FaultPlan::default());
         assert_eq!(
             sim.step(&[(0, 1, 0), (0, 0, 1)]).unwrap_err(),
             SimError::PortMatchedTwice { slot: 1, port: 0, ingress: true }
         );
-        let mut sim = FaultSim::new(2, &[demand(2), demand(2)], &[0, 5], FaultPlan::default());
+        let mut sim = FaultSim::new(2, vec![demand(2), demand(2)], &[0, 5], FaultPlan::default());
         assert_eq!(
             sim.step(&[(0, 1, 7)]).unwrap_err(),
             SimError::UnknownCoflow { coflow: 7 }
         );
-        let mut sim = FaultSim::new(2, &[demand(2), demand(2)], &[0, 5], FaultPlan::default());
+        let mut sim = FaultSim::new(2, vec![demand(2), demand(2)], &[0, 5], FaultPlan::default());
         assert_eq!(
             sim.step(&[(0, 1, 1)]).unwrap_err(),
             SimError::ReleaseViolated { slot: 1, coflow: 1, release: 5 }
@@ -1073,7 +1082,7 @@ mod tests {
             duration: 4,
             transfers: vec![Transfer { src: 0, dst: 1, coflow: 0, units: 4 }],
         });
-        let mut sim = FaultSim::new(2, &[demand(4)], &[0], FaultPlan::default());
+        let mut sim = FaultSim::new(2, vec![demand(4)], &[0], FaultPlan::default());
         let outcomes = sim.execute_trace(&trace, Some(3)).unwrap();
         assert_eq!(outcomes.len(), 2, "slots 1 and 2 only");
         assert_eq!(sim.now(), 2);
@@ -1093,7 +1102,7 @@ mod tests {
             duration: 2,
             transfers: vec![Transfer { src: 0, dst: 1, coflow: 0, units: 2 }],
         });
-        let mut sim = FaultSim::new(2, &[demand(2)], &[0], plan);
+        let mut sim = FaultSim::new(2, vec![demand(2)], &[0], plan);
         sim.execute_trace(&trace, Some(5)).unwrap();
         assert_eq!(sim.now(), 4, "clock lands on the epoch boundary");
         assert_eq!(sim.remaining_total(0), 2, "demand stranded");

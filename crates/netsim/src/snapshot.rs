@@ -456,7 +456,7 @@ mod tests {
             FaultEvent::IngressOutage { port: 0, start: 2, end: 3 },
             FaultEvent::CoflowCancelled { coflow: 1, at: 4 },
         ]);
-        let mut sim = FaultSim::new(2, &[demand(3), demand(5)], &[0, 0], plan);
+        let mut sim = FaultSim::new(2, vec![demand(3), demand(5)], &[0, 0], plan);
         for _ in 0..3 {
             sim.step(&[(0, 1, 0), (1, 0, 1)]).unwrap();
         }
@@ -477,7 +477,7 @@ mod tests {
 
     #[test]
     fn inconsistent_totals_rejected() {
-        let sim = FaultSim::new(2, &[demand(3)], &[0], FaultPlan::default());
+        let sim = FaultSim::new(2, vec![demand(3)], &[0], FaultPlan::default());
         let mut state = sim.capture();
         state.remaining_total[0] = 99;
         let mut text = String::new();

@@ -207,7 +207,7 @@ mod tests {
     fn fabric_trace_validates_and_times_agree() {
         let d0 = IntMatrix::from_nested(&[[1, 2], [2, 1]]);
         let demands = vec![d0];
-        let mut f = Fabric::new(2, &demands, &[0]);
+        let mut f = Fabric::new(2, demands.clone(), &[0]);
         f.apply_run(&[(0, 0, vec![0]), (1, 1, vec![0])], 1);
         f.apply_run(&[(0, 1, vec![0]), (1, 0, vec![0])], 2);
         let (trace, times) = f.finish();

@@ -16,7 +16,7 @@ fn valid_setup() -> (Vec<IntMatrix>, Vec<u64>, ScheduleTrace) {
     d1[(2, 0)] = 2;
     let demands = vec![d0, d1];
     let releases = vec![0, 1];
-    let mut fabric = Fabric::new(3, &demands, &releases);
+    let mut fabric = Fabric::new(3, demands.clone(), &releases);
     fabric.advance_to(1);
     fabric.apply_run(&[(0, 1, vec![0, 1]), (1, 2, vec![0]), (2, 0, vec![1])], 3);
     let (trace, _) = fabric.finish();

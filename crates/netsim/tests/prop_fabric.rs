@@ -32,7 +32,7 @@ fn random_execution(
     seed: u64,
 ) -> (coflow_netsim::ScheduleTrace, Vec<u64>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut fabric = Fabric::new(m, demands, releases);
+    let mut fabric = Fabric::new(m, demands.to_vec(), releases);
     let mut guard = 0;
     while !fabric.all_done() {
         guard += 1;

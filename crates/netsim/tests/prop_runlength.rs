@@ -159,8 +159,8 @@ proptest! {
         let (trace, demands, releases) = build_case(m, n, nruns, seed);
         let horizon = trace.makespan().max(1);
         let plan = FaultPlan::generate(m, n, horizon, rate, fseed);
-        let mut a = FaultSim::new(m, &demands, &releases, plan.clone());
-        let mut b = FaultSim::new(m, &demands, &releases, plan.clone());
+        let mut a = FaultSim::new(m, demands.clone(), &releases, plan.clone());
+        let mut b = FaultSim::new(m, demands.clone(), &releases, plan.clone());
         match mode {
             0 => {
                 step_both(&mut a, &mut b, &trace, None);
@@ -224,7 +224,7 @@ proptest! {
     ) {
         let (planned, demands, _) = build_case(m, n, nruns, seed);
         let releases = vec![0u64; n];
-        let mut fabric = Fabric::new(m, &demands, &releases);
+        let mut fabric = Fabric::new(m, demands.clone(), &releases);
         for run in &planned.runs {
             if run.start > fabric.now() + 1 {
                 fabric.advance_to(run.start - 1);

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# Consolidated gate runner: clippy, perf, mem, scale, tournament,
+# Consolidated gate runner: clippy, tests, perf, mem, scale, tournament,
 # explain, chaos — in that order, never aborting early, so one invocation
 # reports every gate's status. Appends ONE coflow-ledger/1 verdict record
-# carrying all seven statuses (gate `check-all`), prints a pass/fail
+# carrying all eight statuses (gate `check-all`), prints a pass/fail
 # summary table, and exits nonzero if any gate failed.
 #
 # Each individual gate script also appends its own verdict record via its
@@ -18,10 +18,17 @@
 set -u
 cd "$(dirname "$0")/.."
 
-CLIPPY=fail PERF=fail MEM=fail SCALE=fail TOURNAMENT=fail EXPLAIN=fail CHAOS=fail
+CLIPPY=fail TESTS=fail PERF=fail MEM=fail SCALE=fail TOURNAMENT=fail EXPLAIN=fail CHAOS=fail
 
 echo "=== clippy ==="
 sh scripts/check-clippy.sh && CLIPPY=pass
+
+# The scheduler and simulator suites are deterministic; the workspace-wide
+# suite waits on run-scoped obs metrics (a global-registry test is flaky
+# under the parallel runner).
+echo ""
+echo "=== tests ==="
+cargo test --release -q -p coflow -p coflow-netsim && TESTS=pass
 
 echo ""
 echo "=== perf ==="
@@ -48,14 +55,14 @@ echo "=== chaos ==="
 sh scripts/check-chaos.sh && CHAOS=pass
 
 OVERALL=pass
-for s in "$CLIPPY" "$PERF" "$MEM" "$SCALE" "$TOURNAMENT" "$EXPLAIN" "$CHAOS"; do
+for s in "$CLIPPY" "$TESTS" "$PERF" "$MEM" "$SCALE" "$TOURNAMENT" "$EXPLAIN" "$CHAOS"; do
     [ "$s" = "pass" ] || OVERALL=fail
 done
 
 # One consolidated verdict record; best-effort like the per-gate traps.
 cargo run --release -q -p coflow-bench --bin experiments -- \
     verdict --gate check-all --status "$OVERALL" \
-    --verdict "clippy=$CLIPPY" --verdict "perf=$PERF" \
+    --verdict "clippy=$CLIPPY" --verdict "tests=$TESTS" --verdict "perf=$PERF" \
     --verdict "mem=$MEM" --verdict "scale=$SCALE" \
     --verdict "tournament=$TOURNAMENT" \
     --verdict "explain=$EXPLAIN" --verdict "chaos=$CHAOS" || true
@@ -64,6 +71,7 @@ echo ""
 echo "gate      status"
 echo "--------  ------"
 printf '%-8s  %s\n' clippy "$CLIPPY"
+printf '%-8s  %s\n' tests "$TESTS"
 printf '%-8s  %s\n' perf "$PERF"
 printf '%-8s  %s\n' mem "$MEM"
 printf '%-8s  %s\n' scale "$SCALE"
