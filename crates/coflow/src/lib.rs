@@ -88,11 +88,12 @@ pub use crate::sched::recovery::{
     run_with_faults, run_with_faults_strict, verify_faulty_outcome, FaultyOutcome,
 };
 pub use crate::sched::resilient::{
-    fallback_chain, run_resilient, run_resilient_chain, FailedAttempt, ResilientOutcome,
+    fallback_chain, plan_resilient, run_resilient, run_resilient_chain, FailedAttempt,
+    ResilientOutcome,
 };
 pub use crate::sched::{
-    run, run_randomized, run_with_order, run_with_order_ext, run_with_order_grid,
-    run_with_order_opts, AlgorithmSpec, ExecOptions, ScheduleOutcome,
+    plan_with_order, run, run_randomized, run_with_order, run_with_order_ext,
+    run_with_order_grid, run_with_order_opts, AlgorithmSpec, ExecOptions, ScheduleOutcome,
 };
 pub use crate::verify::{verify_outcome, VerifyError, VerifyReport};
 pub use crate::windowed::{

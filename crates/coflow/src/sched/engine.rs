@@ -14,8 +14,8 @@
 //! * the engine calls [`Policy::decide`] with a read-only [`EpochState`]
 //!   snapshot (current time, the instance, live remaining demand);
 //! * the policy answers with a [`Decision`]: advance the clock, run a
-//!   matching for some slots, execute a fully planned trace (fault-aware
-//!   engine only), or declare itself finished;
+//!   matching for some slots, execute a planned trace up to the next
+//!   fault boundary (fault-aware engine only), or declare itself finished;
 //! * the engine applies the decision, updates completions/trace/obs, and
 //!   asks again.
 //!
@@ -33,7 +33,7 @@
 //! in CI via `experiments pin` / `scripts/check-perf.sh`.
 
 use super::recovery::FaultyOutcome;
-use super::resilient::run_resilient;
+use super::resilient::plan_resilient;
 use super::{AlgorithmSpec, ExecOptions, ScheduleOutcome};
 use crate::coflow::Coflow;
 use crate::error::SchedError;
@@ -110,6 +110,7 @@ pub struct EpochState<'a> {
     pub instance: &'a Instance,
     exec: ExecRef<'a>,
     next_boundary: Option<u64>,
+    execute_until: Option<u64>,
 }
 
 impl<'a> EpochState<'a> {
@@ -161,6 +162,16 @@ impl<'a> EpochState<'a> {
     pub fn next_boundary(&self) -> Option<u64> {
         self.next_boundary
     }
+
+    /// The slot before which the engine executes a [`Decision::Execute`]
+    /// trace: the first boundary after `now + 1`, so every epoch makes at
+    /// least one slot of progress. `None` on a clean fabric and past the
+    /// last boundary (the trace then runs to its end). A planner that
+    /// stops at this slot loses nothing: runs starting at or after it are
+    /// never executed.
+    pub fn execute_until(&self) -> Option<u64> {
+        self.execute_until
+    }
 }
 
 /// One policy decision, applied by the engine before the next epoch.
@@ -181,10 +192,12 @@ pub enum Decision {
         /// Number of consecutive slots to hold the matching.
         duration: u64,
     },
-    /// Execute a fully planned schedule trace until the fault state next
-    /// changes. Only the fault-aware engine accepts this (replay on a clean
-    /// fabric would bypass its completion bookkeeping); the clean engine
-    /// returns [`SchedError::Unsupported`].
+    /// Execute a planned schedule trace until the fault state next changes
+    /// (before [`EpochState::execute_until`]); runs starting at or after
+    /// that slot are dropped, so the plan need not reach past it. Only the
+    /// fault-aware engine accepts this (replay on a clean fabric would
+    /// bypass its completion bookkeeping); the clean engine returns
+    /// [`SchedError::Unsupported`].
     Execute(ScheduleTrace),
     /// Nothing left to schedule; the engine stops consulting the policy.
     Finished,
@@ -401,18 +414,54 @@ pub fn run_policy<P: Policy + ?Sized>(
     instance: &Instance,
     policy: &mut P,
 ) -> Result<ScheduleOutcome, SchedError> {
+    let fabric = drive(instance, policy, None)?;
+    let (trace, completions) = fabric.finish();
+    let objective = instance.objective(&completions);
+    let order = policy.final_order(&completions);
+    Ok(ScheduleOutcome {
+        order,
+        completions,
+        objective,
+        trace,
+    })
+}
+
+/// Plans `policy` on a clean fabric up to `horizon`: the returned trace
+/// holds every run that starts before `horizon` — exactly those runs of
+/// the [`run_policy`] trace, since a decision depends only on the fabric
+/// state when it is taken — and none after. The last run may reach past
+/// `horizon`. `None` plans the whole schedule. This is how a replanning
+/// policy avoids planning slots that [`Decision::Execute`] will never run.
+pub(crate) fn plan_policy<P: Policy + ?Sized>(
+    instance: &Instance,
+    policy: &mut P,
+    horizon: Option<u64>,
+) -> Result<ScheduleTrace, SchedError> {
+    Ok(drive(instance, policy, horizon)?.finish_partial().0)
+}
+
+/// The clean engine loop behind [`run_policy`] and [`plan_policy`]:
+/// consults `policy` until all demand is delivered, the policy finishes,
+/// or the next schedulable slot `now + 1` reaches `horizon`.
+fn drive<P: Policy + ?Sized>(
+    instance: &Instance,
+    policy: &mut P,
+    horizon: Option<u64>,
+) -> Result<Fabric, SchedError> {
     let _span = obs::span("sched.engine");
     let releases = instance.releases();
     let mut fabric = Fabric::new(instance.ports(), instance.demand_matrices(), &releases);
+    let before_horizon = |fabric: &Fabric| horizon.is_none_or(|h| fabric.now() + 1 < h);
     let mut decisions: u64 = 0;
     let mut last_beat = Instant::now();
     let mut pacer = HeartbeatPacer::default();
-    while !fabric.all_done() {
+    while !fabric.all_done() && before_horizon(&fabric) {
         let decision = policy.decide(&EpochState {
             now: fabric.now(),
             instance,
             exec: ExecRef::Clean(&fabric),
             next_boundary: None,
+            execute_until: None,
         })?;
         decisions += 1;
         if pacer.due(decisions) && {
@@ -475,19 +524,11 @@ pub fn run_policy<P: Policy + ?Sized>(
         );
     }
     assert!(
-        fabric.all_done(),
+        fabric.all_done() || !before_horizon(&fabric),
         "engine: policy '{}' finished with undelivered demand (scheduler bug)",
         policy.name()
     );
-    let (trace, completions) = fabric.finish();
-    let objective = instance.objective(&completions);
-    let order = policy.final_order(&completions);
-    Ok(ScheduleOutcome {
-        order,
-        completions,
-        objective,
-        trace,
-    })
+    Ok(fabric)
 }
 
 /// Runs `policy` to quiescence under `plan` on a fault-injecting simulator.
@@ -529,7 +570,6 @@ pub fn run_policy_with_faults<P: Policy + ?Sized>(
 pub struct Engine<'a> {
     instance: &'a Instance,
     sim: FaultSim,
-    boundaries: Vec<u64>,
     replans: usize,
     tiers: Vec<usize>,
     last_window: Option<usize>,
@@ -554,7 +594,6 @@ impl<'a> Engine<'a> {
         Engine {
             instance,
             sim,
-            boundaries: plan.boundaries(),
             replans: 0,
             tiers: Vec::new(),
             last_window: None,
@@ -620,12 +659,21 @@ impl<'a> Engine<'a> {
             return Ok(false);
         }
         let now = self.sim.now();
-        let next = self.boundaries.partition_point(|&b| b <= now);
+        let boundaries = self.sim.boundaries();
+        // The fault window of slot now+1 is the count of boundaries at or
+        // before it; the boundary that closes it is where an `Execute`
+        // stops (≥ 1 slot of progress), or nowhere past the last one.
+        let window = boundaries.partition_point(|&b| b <= now + 1);
+        let execute_until = boundaries.get(window).copied();
+        let next_boundary = boundaries
+            .get(boundaries.partition_point(|&b| b <= now))
+            .copied();
         let decision = policy.decide(&EpochState {
             now,
             instance: self.instance,
             exec: ExecRef::Faulty(&self.sim),
-            next_boundary: self.boundaries.get(next).copied(),
+            next_boundary,
+            execute_until,
         })?;
         self.decisions += 1;
         match decision {
@@ -634,17 +682,10 @@ impl<'a> Engine<'a> {
                 self.tiers.push(policy.tier());
                 obs::counter_add("coflow.recovery.epochs", 1);
                 self.sample_progress(policy.name());
-                // Execute until the fault state next changes (needing
-                // ≥ 1 slot of progress), or to the end of the plan when
-                // it never does again.
-                let stop = self.boundaries.iter().copied().find(|&b| b > now + 1);
-                self.sim.execute_trace(&trace, stop)?;
+                self.sim.execute_trace(&trace, execute_until)?;
             }
             Decision::Run { pairs, duration } => {
-                // One planning epoch per fault window entered: the
-                // window of slot now+1 is the count of boundaries at or
-                // before it.
-                let window = self.boundaries.partition_point(|&b| b <= now + 1);
+                // One planning epoch per fault window entered.
                 if self.last_window != Some(window) {
                     self.last_window = Some(window);
                     self.replans += 1;
@@ -728,13 +769,11 @@ impl<'a> Engine<'a> {
             return Err(bad("snapshot release dates disagree with instance"));
         }
         let policy = snapshot.policy.rebuild(instance)?;
-        let boundaries = snapshot.sim.plan.boundaries();
         let sim = FaultSim::from_state(snapshot.sim)?;
         Ok((
             Engine {
                 instance,
                 sim,
-                boundaries,
                 replans: snapshot.replans,
                 tiers: snapshot.tiers,
                 last_window: snapshot.last_window,
@@ -1333,11 +1372,15 @@ impl Policy for BvnBatchPolicy {
 
 /// The recovery policy: at each planning epoch, builds the residual
 /// instance (live coflows, remaining demand, releases clamped to now) and
-/// plans it with [`run_resilient`] — degrading `H_LP → H_ρ → H_A` under
+/// plans it with [`plan_resilient`] — degrading `H_LP → H_ρ → H_A` under
 /// the configured solver budgets — then hands the planned trace to the
-/// engine to execute until the fault state next changes. This is the
-/// legacy `run_with_faults` epoch loop, expressed as a policy; it requires
-/// the fault-aware engine ([`run_policy_with_faults`]).
+/// engine to execute until the fault state next changes. Planning stops at
+/// [`EpochState::execute_until`], where that execution ends: the order and
+/// groups still cover the whole residual, and the planned runs are the
+/// prefix of the full plan, so the executed schedule is the one a
+/// full-horizon plan would give. This is the legacy `run_with_faults`
+/// epoch loop, expressed as a policy; it requires the fault-aware engine
+/// ([`run_policy_with_faults`]).
 pub struct ResilientPolicy {
     spec: AlgorithmSpec,
     lp_opts: SimplexOptions,
@@ -1408,11 +1451,16 @@ impl Policy for ResilientPolicy {
             return Ok(Decision::Advance(now + 1));
         }
         let residual_instance = Instance::new(instance.ports(), residual);
-        let planned = run_resilient(&residual_instance, &self.spec, &self.lp_opts);
+        let planned = plan_resilient(
+            &residual_instance,
+            &self.spec,
+            &self.lp_opts,
+            state.execute_until(),
+        );
         self.last_tier = planned.tier;
 
         // The planner numbers coflows by residual index; map back.
-        let mut trace = planned.outcome.trace;
+        let mut trace = planned.outcome;
         for run in &mut trace.runs {
             for t in &mut run.transfers {
                 t.coflow = residual_to_orig[t.coflow];

@@ -26,7 +26,7 @@ use crate::instance::Instance;
 use crate::intervals::GeometricGrid;
 use crate::ordering::{compute_order, OrderRule};
 use coflow_netsim::ScheduleTrace;
-use engine::{run_policy, BvnBatchPolicy};
+use engine::{plan_policy, run_policy, BvnBatchPolicy};
 use rand::Rng;
 
 /// One cell of the §4 experiment grid.
@@ -133,12 +133,41 @@ pub fn run_with_order_opts(
     grouping: bool,
     opts: ExecOptions,
 ) -> ScheduleOutcome {
-    let batches: Vec<Vec<usize>> = if grouping {
-        group_by_doubling(instance, &order).groups
+    let batches = batches_of(instance, &order, grouping);
+    execute_batches(instance, order, batches, opts)
+}
+
+/// [`run_with_order`] planned only up to `horizon`: the runs of its trace
+/// that start before `horizon` (all of them for `None`), without
+/// executing the rest (see [`engine::plan_policy`]).
+pub fn plan_with_order(
+    instance: &Instance,
+    order: Vec<usize>,
+    grouping: bool,
+    backfill: bool,
+    horizon: Option<u64>,
+) -> ScheduleTrace {
+    let _span = obs::span("sched.execute");
+    let batches = batches_of(instance, &order, grouping);
+    let opts = ExecOptions {
+        backfill,
+        ..ExecOptions::default()
+    };
+    let mut policy = BvnBatchPolicy::new(instance, order, batches, opts);
+    match plan_policy(instance, &mut policy, horizon) {
+        Ok(trace) => trace,
+        Err(e) => unreachable!("batch policy is infallible: {}", e),
+    }
+}
+
+/// The batches `order` is scheduled in: doubling groups with `grouping`,
+/// one coflow each without.
+fn batches_of(instance: &Instance, order: &[usize], grouping: bool) -> Vec<Vec<usize>> {
+    if grouping {
+        group_by_doubling(instance, order).groups
     } else {
         order.iter().map(|&k| vec![k]).collect()
-    };
-    execute_batches(instance, order, batches, opts)
+    }
 }
 
 /// [`run_with_order`] plus the *work-conserving rematch* extension: when a

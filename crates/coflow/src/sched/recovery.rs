@@ -10,6 +10,14 @@
 //! fault window is finite, the final epoch runs fault-free, so all
 //! surviving (non-cancelled) demand is guaranteed to complete.
 //!
+//! Each epoch is planned only as far as it executes: the replan orders and
+//! groups the whole residual instance but runs the clean engine only up to
+//! the epoch's stop boundary ([`super::engine::EpochState::execute_until`],
+//! the first boundary after `now + 1`), because runs starting at or after
+//! it are never executed. A batch decision at slot `t` depends only on the
+//! fabric state at `t`, so the planned runs are exactly the prefix of a
+//! full-horizon plan and the executed schedule is unchanged.
+//!
 //! The epoch loop itself lives in the engine
 //! ([`super::engine::run_policy_with_faults`] driving a
 //! [`super::engine::ResilientPolicy`]); [`run_with_faults`] is a shim, and

@@ -7,12 +7,22 @@
 //! and records which tier actually produced the schedule, so experiment
 //! harnesses can report degradation counts and the TWCT cost of falling
 //! back.
+//!
+//! The chain has two scheduling stages behind one degradation loop:
+//! [`run_resilient`] / [`run_resilient_chain`] schedule the whole instance,
+//! and [`plan_resilient`] — the replanning step of the fault-recovery loop
+//! ([`super::recovery`]) — plans only the runs that start before a
+//! horizon, the slot where the engine will stop executing the plan. Order
+//! and grouping still cover the whole residual instance, and the planned
+//! runs are exactly the prefix of the full schedule, so replanning this
+//! way changes no executed slot.
 
-use super::{run_with_order, AlgorithmSpec, ScheduleOutcome};
+use super::{plan_with_order, run_with_order, AlgorithmSpec, ScheduleOutcome};
 use crate::error::SchedError;
 use crate::instance::Instance;
 use crate::ordering::{try_compute_order_with, OrderRule};
 use coflow_lp::SimplexOptions;
+use coflow_netsim::ScheduleTrace;
 use std::time::{Duration, Instant};
 
 /// One failed tier of the fallback chain: which rule ran, the error it
@@ -31,11 +41,13 @@ pub struct FailedAttempt {
 
 /// A schedule produced by [`run_resilient`], annotated with provenance:
 /// which rule was requested, which one actually ran, and every failure
-/// absorbed along the way.
+/// absorbed along the way. `O` is what the scheduling stage produced: the
+/// full [`ScheduleOutcome`], or the planned [`ScheduleTrace`] prefix for
+/// [`plan_resilient`].
 #[derive(Clone, Debug)]
-pub struct ResilientOutcome {
+pub struct ResilientOutcome<O = ScheduleOutcome> {
     /// The schedule from the first tier that succeeded.
-    pub outcome: ScheduleOutcome,
+    pub outcome: O,
     /// The rule the caller asked for.
     pub requested: OrderRule,
     /// The rule that produced the schedule.
@@ -46,7 +58,7 @@ pub struct ResilientOutcome {
     pub failures: Vec<FailedAttempt>,
 }
 
-impl ResilientOutcome {
+impl<O> ResilientOutcome<O> {
     /// True when the requested rule itself produced the schedule.
     pub fn degraded(&self) -> bool {
         self.tier > 0
@@ -93,6 +105,43 @@ pub fn run_resilient_chain(
     chain: &[OrderRule],
     lp_opts: &SimplexOptions,
 ) -> Result<ResilientOutcome, SchedError> {
+    degrade(instance, spec, chain, lp_opts, |order| {
+        run_with_order(instance, order, spec.grouping, spec.backfill)
+    })
+}
+
+/// [`run_resilient`] that plans only the runs starting before `horizon`
+/// (`None`: the whole schedule). The trace is exactly those runs of
+/// `run_resilient(instance, spec, lp_opts).outcome.trace`; the order and
+/// the groups are still computed over the whole instance.
+pub fn plan_resilient(
+    instance: &Instance,
+    spec: &AlgorithmSpec,
+    lp_opts: &SimplexOptions,
+    horizon: Option<u64>,
+) -> ResilientOutcome<ScheduleTrace> {
+    let planned = degrade(
+        instance,
+        spec,
+        &fallback_chain(spec.order),
+        lp_opts,
+        |order| plan_with_order(instance, order, spec.grouping, spec.backfill, horizon),
+    );
+    match planned {
+        Ok(outcome) => outcome,
+        Err(e) => unreachable!("built-in chain ends in infallible tiers: {}", e),
+    }
+}
+
+/// The degradation loop: orders `instance` with the first rule of `chain`
+/// that succeeds and hands the order to `schedule`.
+fn degrade<O>(
+    instance: &Instance,
+    spec: &AlgorithmSpec,
+    chain: &[OrderRule],
+    lp_opts: &SimplexOptions,
+    schedule: impl FnOnce(Vec<usize>) -> O,
+) -> Result<ResilientOutcome<O>, SchedError> {
     let mut failures: Vec<FailedAttempt> = Vec::new();
     for (tier, &rule) in chain.iter().enumerate() {
         let attempt_start = Instant::now();
@@ -101,9 +150,8 @@ pub fn run_resilient_chain(
                 if tier > 0 {
                     obs::counter_add("coflow.resilient.degraded_runs", 1);
                 }
-                let outcome = run_with_order(instance, order, spec.grouping, spec.backfill);
                 return Ok(ResilientOutcome {
-                    outcome,
+                    outcome: schedule(order),
                     requested: spec.order,
                     used: rule,
                     tier,

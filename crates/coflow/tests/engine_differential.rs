@@ -17,6 +17,16 @@
 //! order and objective bits are identical, clean and under faults (where
 //! `replans`, `tiers` and the blocked accounting must match too).
 //!
+//! `ResilientPolicy` plans each fault epoch only up to the slot where the
+//! engine stops executing it (`EpochState::execute_until`), while the
+//! frozen recovery loop plans the whole residual horizon every time. The
+//! contract is that nothing observable changes: executed trace,
+//! completions, objective bits, replans, tiers and blocked accounting are
+//! byte-identical, on the registry spec, starved solvers, a 32-port
+//! synthetic trace and generated instances. The horizon tests pin the two
+//! halves of that argument: a bounded plan is the prefix of the full plan,
+//! and the horizon is the first boundary *after* `now + 1`.
+//!
 //! A proptest at the end covers the newly composable combinations: the
 //! online and greedy policies under fault injection must settle every
 //! non-cancelled unit of demand (replay-verified by
@@ -24,14 +34,16 @@
 
 use coflow::sched::{AlgorithmSpec, ExecOptions, ScheduleOutcome};
 use coflow::{
-    compute_order, run_greedy, run_greedy_with_faults, run_online_opts, run_online_with_faults,
-    run_policy, run_policy_with_faults, run_with_faults, run_with_order_opts,
-    verify_faulty_outcome, Coflow, FaultyOutcome, GreedyPolicy, ImPurohitPolicy, Instance,
-    OnlineOptions, OnlineRhoPolicy, OrderRule, Policy, ShafieeGhaderiPolicy,
+    compute_order, plan_resilient, plan_with_order, run_greedy, run_greedy_with_faults,
+    run_online_opts, run_online_with_faults, run_policy, run_policy_with_faults, run_resilient,
+    run_with_order, run_with_order_opts, verify_faulty_outcome, Coflow, Engine, FaultyOutcome,
+    GreedyPolicy, ImPurohitPolicy, Instance, OnlineOptions, OnlineRhoPolicy, OrderRule, Policy,
+    PolicyRegistry, ResilientPolicy, ShafieeGhaderiPolicy,
 };
 use coflow_lp::SimplexOptions;
 use coflow_matching::IntMatrix;
-use coflow_netsim::{FaultEvent, FaultPlan, ScheduleTrace};
+use coflow_netsim::{FaultEvent, FaultPlan, Run, ScheduleTrace};
+use coflow_workloads::{assign_weights, generate_trace, TraceConfig, WeightScheme};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -939,39 +951,229 @@ fn greedy_policy_matches_frozen_loop() {
     }
 }
 
+/// The spec of the registry's `resilient` entry: Algorithm 2's H_LP order
+/// and doubling groups, plus backfilling.
+const REGISTRY_SPEC: AlgorithmSpec = AlgorithmSpec {
+    order: OrderRule::LpBased,
+    grouping: true,
+    backfill: true,
+};
+
+/// Drives `policy` under `plan` one epoch at a time. Every epoch of the
+/// recovery policy must advance the clock — an epoch that plans nothing
+/// it can execute would otherwise repeat forever — so a stalled epoch
+/// fails the test instead of hanging it.
+fn run_stepwise(
+    label: &str,
+    inst: &Instance,
+    policy: &mut dyn Policy,
+    plan: &FaultPlan,
+) -> FaultyOutcome {
+    let mut engine = Engine::new(inst, plan);
+    loop {
+        let before = engine.now();
+        if !engine.step(policy).expect("engine step") {
+            break;
+        }
+        assert!(engine.now() > before, "{}: the epoch at slot {} made no progress", label, before);
+    }
+    engine.into_outcome(policy)
+}
+
+/// The horizon-bounded `ResilientPolicy` against the frozen full-plan
+/// recovery loop: every observable must be byte-identical — executed runs
+/// (not just the slot expansion), completions, objective bits, replans,
+/// tiers, blocked units and the blocked log. Returns the engine's outcome
+/// for further checks.
+fn check_resilient(
+    label: &str,
+    inst: &Instance,
+    spec: &AlgorithmSpec,
+    lp_opts: &SimplexOptions,
+    plan: &FaultPlan,
+) -> FaultyOutcome {
+    let mut policy = ResilientPolicy::new(*spec, lp_opts.clone());
+    let new = run_stepwise(label, inst, &mut policy, plan);
+    let old = legacy::run_with_faults(inst, spec, lp_opts, plan).expect("legacy run");
+    assert_eq!(new.executed, old.executed, "{}: trace diverged", label);
+    assert_faulty_identical(label, &new, &old);
+    new
+}
+
 /// `ResilientPolicy` through the fault-aware engine reproduces the frozen
-/// recovery epoch loop on every observable: executed trace, completions,
-/// objective bits, replans, tiers, blocked units and the blocked log.
+/// recovery epoch loop on every observable, for the H_ρ chain and for the
+/// registry spec (H_LP, grouping, backfill).
 #[test]
 fn resilient_policy_matches_frozen_recovery_loop() {
-    let spec = AlgorithmSpec {
+    let h_rho = AlgorithmSpec {
         order: OrderRule::LoadOverWeight,
         grouping: true,
         backfill: true,
     };
     let lp_opts = SimplexOptions::default();
     for (seed, m, n, max_release) in
-        [(41u64, 2, 4, 0), (42, 3, 6, 6), (43, 4, 8, 10)]
+        [(41u64, 2, 4, 0), (42, 3, 6, 6), (43, 4, 8, 10), (44, 6, 12, 30)]
     {
         let inst = seeded_instance(m, n, max_release, seed);
         for rate in [0.0, 0.3, 0.6] {
             let plan = FaultPlan::generate(m, n, 40, rate, seed.wrapping_mul(31));
-            let new = run_with_faults(&inst, &spec, &lp_opts, &plan).expect("engine run");
-            let old = legacy::run_with_faults(&inst, &spec, &lp_opts, &plan).expect("legacy run");
-            let label = format!("faults seed {} rate {}", seed, rate);
-            assert_eq!(new.executed, old.executed, "{}: trace diverged", label);
-            assert_eq!(new.completions, old.completions, "{}: completions", label);
-            assert_eq!(
-                new.objective.to_bits(),
-                old.objective.to_bits(),
-                "{}: objective bits",
-                label
-            );
-            assert_eq!(new.replans, old.replans, "{}: replans", label);
-            assert_eq!(new.tiers, old.tiers, "{}: tiers", label);
-            assert_eq!(new.blocked_units, old.blocked_units, "{}: blocked units", label);
-            assert_eq!(new.blocked, old.blocked, "{}: blocked log", label);
+            for (name, spec) in [("H_rho", h_rho), ("registry", REGISTRY_SPEC)] {
+                let label = format!("faults seed {} rate {} {}", seed, rate, name);
+                check_resilient(&label, &inst, &spec, &lp_opts, &plan);
+            }
         }
+    }
+}
+
+/// The registry's `resilient` entry is the spec the differential covers.
+#[test]
+fn registry_resilient_entry_matches_the_frozen_loop() {
+    let inst = seeded_instance(4, 8, 10, 45);
+    let plan = FaultPlan::generate(4, 8, 40, 0.4, 45);
+    let entry = PolicyRegistry::builtin().resolve("resilient").expect("registry entry");
+    let mut policy = entry.build(&inst);
+    let new = run_stepwise("registry", &inst, policy.as_mut(), &plan);
+    let old = legacy::run_with_faults(&inst, &REGISTRY_SPEC, &SimplexOptions::default(), &plan)
+        .expect("legacy run");
+    assert_eq!(new.executed, old.executed, "registry: trace diverged");
+    assert_faulty_identical("registry", &new, &old);
+}
+
+/// A starved solver (`max_iterations: 0`) fails H_LP at every epoch, so
+/// each replan runs the tier-1 (H_ρ) leg of the chain; the bounded plan
+/// must still match the frozen loop.
+#[test]
+fn starved_chain_matches_frozen_recovery_loop() {
+    let starved = SimplexOptions {
+        max_iterations: 0,
+        ..SimplexOptions::default()
+    };
+    for (seed, m, n, max_release) in [(46u64, 3, 6, 6), (47, 5, 10, 20)] {
+        let inst = seeded_instance(m, n, max_release, seed);
+        let plan = FaultPlan::generate(m, n, 40, 0.5, seed);
+        let out = check_resilient(
+            &format!("starved seed {}", seed),
+            &inst,
+            &REGISTRY_SPEC,
+            &starved,
+            &plan,
+        );
+        assert!(out.replans >= 2, "seed {}: the plan should force replans", seed);
+        assert!(out.tiers.iter().all(|&t| t == 1), "seed {}: tiers {:?}", seed, out.tiers);
+    }
+}
+
+/// The benchmark's fault workload shape: a 32-port synthetic trace with
+/// Poisson arrivals under a rate-0.2 fault plan over its busy horizon.
+#[test]
+fn resilient_matches_frozen_loop_on_a_32_port_trace() {
+    for seed in [1u64, 2] {
+        let trace = generate_trace(&TraceConfig {
+            seed,
+            ports: 32,
+            num_coflows: 32,
+            max_flow_size: 128,
+            zero_release: false,
+            mean_interarrival: 40.0,
+            ..TraceConfig::default()
+        });
+        let inst = assign_weights(&trace, WeightScheme::RandomPermutation { seed });
+        let last_release = inst.coflows().iter().map(|c| c.release).max().unwrap_or(0);
+        let busiest = inst
+            .ingress_loads()
+            .into_iter()
+            .chain(inst.egress_loads())
+            .max()
+            .unwrap_or(1);
+        let plan = FaultPlan::generate(32, inst.len(), last_release + busiest, 0.2, seed);
+        let out = check_resilient(
+            &format!("32-port seed {}", seed),
+            &inst,
+            &REGISTRY_SPEC,
+            &SimplexOptions::default(),
+            &plan,
+        );
+        assert!(out.replans > 1, "seed {}: the plan should force replans", seed);
+    }
+}
+
+/// The runs of `trace` that start before `horizon`.
+fn runs_before(trace: &ScheduleTrace, horizon: u64) -> Vec<Run> {
+    trace.runs.iter().filter(|r| r.start < horizon).cloned().collect()
+}
+
+/// Prefix property: a plan bounded at `h` holds exactly the full plan's
+/// runs that start before `h` — for the batch pipeline in every grouping ×
+/// backfill cell and for the resilient chain (healthy and starved), at
+/// horizons before, inside and past the schedule.
+#[test]
+fn horizon_bounded_plan_is_the_prefix_of_the_full_plan() {
+    let starved = SimplexOptions {
+        max_iterations: 0,
+        ..SimplexOptions::default()
+    };
+    for (seed, m, n, max_release) in [(61u64, 2, 4, 0), (62, 3, 7, 9), (63, 5, 10, 20)] {
+        let inst = seeded_instance(m, n, max_release, seed);
+        let order = compute_order(&inst, OrderRule::LoadOverWeight);
+        for grouping in [false, true] {
+            for backfill in [false, true] {
+                let full = run_with_order(&inst, order.clone(), grouping, backfill).trace;
+                let end = full.makespan() + 2;
+                for h in (0..=end).step_by(((end / 9) as usize).max(1)).chain([end]) {
+                    let bounded =
+                        plan_with_order(&inst, order.clone(), grouping, backfill, Some(h));
+                    assert_eq!(
+                        bounded.runs,
+                        runs_before(&full, h),
+                        "seed {} g={} bf={} h={}",
+                        seed,
+                        grouping,
+                        backfill,
+                        h
+                    );
+                }
+                let unbounded = plan_with_order(&inst, order.clone(), grouping, backfill, None);
+                assert_eq!(unbounded, full, "seed {}: unbounded plan is the full plan", seed);
+            }
+        }
+        for lp_opts in [SimplexOptions::default(), starved.clone()] {
+            let full = run_resilient(&inst, &REGISTRY_SPEC, &lp_opts);
+            let end = full.outcome.trace.makespan() + 1;
+            for h in [1, 2, end / 3, end / 2, end] {
+                let bounded = plan_resilient(&inst, &REGISTRY_SPEC, &lp_opts, Some(h));
+                assert_eq!(bounded.tier, full.tier, "seed {} h={}: tier", seed, h);
+                assert_eq!(
+                    bounded.outcome.runs,
+                    runs_before(&full.outcome.trace, h),
+                    "seed {} h={}: resilient prefix",
+                    seed,
+                    h
+                );
+            }
+        }
+    }
+}
+
+/// Off-by-one guard: with a boundary at `now + 1` (an outage opening in
+/// slot 1 while `now = 0`), the `Execute` stop — and so the planning
+/// horizon — is the *following* boundary. Planning only to
+/// `EpochState::next_boundary` (slot 1) would plan nothing and idle the
+/// unaffected ports through slots 1..4.
+#[test]
+fn boundary_in_the_next_slot_plans_through_the_following_one() {
+    let c0 = Coflow::new(0, IntMatrix::from_nested(&[[3, 0, 0], [0, 2, 0], [0, 0, 4]]));
+    let c1 = Coflow::new(1, IntMatrix::from_nested(&[[0, 2, 0], [0, 0, 3], [1, 0, 0]]))
+        .with_weight(2.0);
+    let inst = Instance::new(3, vec![c0, c1]);
+    let plan = FaultPlan::new(vec![FaultEvent::IngressOutage { port: 0, start: 1, end: 4 }]);
+    assert_eq!(plan.boundaries(), vec![1, 5]);
+    for spec in [REGISTRY_SPEC, AlgorithmSpec { order: OrderRule::Arrival, ..REGISTRY_SPEC }] {
+        let out = check_resilient("outage@1", &inst, &spec, &SimplexOptions::default(), &plan);
+        assert!(
+            out.executed.runs.first().is_some_and(|r| r.start == 1),
+            "{:?}: ports 1 and 2 must be served from slot 1",
+            spec.order
+        );
     }
 }
 
@@ -1016,6 +1218,25 @@ proptest! {
         check_greedy_family("clean", &inst, None);
         let plan = FaultPlan::generate(inst.ports(), inst.len(), horizon, rate, seed);
         check_greedy_family(&format!("plan seed {}", seed), &inst, Some(&plan));
+    }
+
+    /// Horizon-bounded resilient replanning is the frozen full-plan loop,
+    /// byte for byte, on generated instances and fault plans.
+    #[test]
+    fn resilient_matches_frozen_loop_under_generated_plans(
+        inst in instance_strategy(),
+        rate in 0.0f64..0.7,
+        horizon in 4u64..48,
+        seed in 0u64..1u64 << 32,
+    ) {
+        let plan = FaultPlan::generate(inst.ports(), inst.len(), horizon, rate, seed);
+        check_resilient(
+            &format!("plan seed {}", seed),
+            &inst,
+            &REGISTRY_SPEC,
+            &SimplexOptions::default(),
+            &plan,
+        );
     }
 
     /// The newly composable cells: online-under-faults and

@@ -387,6 +387,9 @@ pub struct FaultSim {
     cancelled: Vec<bool>,
     now: u64,
     plan: FaultPlan,
+    /// `plan.boundaries()`, computed once: every replay splits runs at
+    /// these epochs and the engine derives its stop slots from them.
+    boundaries: Vec<u64>,
     executed: ScheduleTrace,
     blocked_units: u64,
     blocked_log: Vec<BlockedSlot>,
@@ -417,6 +420,7 @@ impl FaultSim {
             last_activity: vec![0; n],
             cancelled: vec![false; n],
             now: 0,
+            boundaries: plan.boundaries(),
             plan,
             executed: ScheduleTrace::new(m),
             blocked_units: 0,
@@ -435,6 +439,12 @@ impl FaultSim {
     /// The fault plan being applied.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
+    }
+
+    /// The plan's [`FaultPlan::boundaries`] (sorted, deduplicated), cached
+    /// at construction.
+    pub fn boundaries(&self) -> &[u64] {
+        &self.boundaries
     }
 
     /// Remaining demand of coflow `k` on pair `(i, j)`.
@@ -644,7 +654,6 @@ impl FaultSim {
         force_slotwise: bool,
     ) -> Result<Vec<SlotOutcome>, SimError> {
         let mut outcomes = Vec::new();
-        let boundaries = self.plan.boundaries();
         'runs: for run in &trace.runs {
             if let Some(b) = stop_before {
                 if run.start >= b {
@@ -661,7 +670,7 @@ impl FaultSim {
                 return Err(SimError::TimeReversed { start: run.start, now: self.now });
             }
             let first = self.now + 1; // done prefixes of partial runs skipped
-            if force_slotwise || !self.run_fast(run, first, stop_before, &boundaries, &mut outcomes) {
+            if force_slotwise || !self.run_fast(run, first, stop_before, &mut outcomes) {
                 if self.run_slotwise(run, stop_before, &mut outcomes)? {
                     break 'runs;
                 }
@@ -719,7 +728,6 @@ impl FaultSim {
         run: &Run,
         first: u64,
         stop_before: Option<u64>,
-        boundaries: &[u64],
         outcomes: &mut Vec<SlotOutcome>,
     ) -> bool {
         let n = self.remaining.len();
@@ -769,12 +777,12 @@ impl FaultSim {
         // Fault state is constant between consecutive plan boundaries
         // (except stride-degraded links, which are re-checked per slot), so
         // the run splits into windows at the epochs that intersect it.
-        let mut bidx = boundaries.partition_point(|&x| x <= first);
+        let mut bidx = self.boundaries.partition_point(|&x| x <= first);
         let mut w0 = first;
         let mut pair_state: Vec<PairState> = Vec::with_capacity(pairs.len());
         while w0 <= last {
-            let w1 = if bidx < boundaries.len() && boundaries[bidx] <= last {
-                let end = boundaries[bidx] - 1;
+            let w1 = if bidx < self.boundaries.len() && self.boundaries[bidx] <= last {
+                let end = self.boundaries[bidx] - 1;
                 bidx += 1;
                 end
             } else {
@@ -930,6 +938,7 @@ impl FaultSim {
             last_activity: state.last_activity,
             cancelled: state.cancelled,
             now: state.now,
+            boundaries: state.plan.boundaries(),
             plan: state.plan,
             executed: state.executed,
             blocked_units: state.blocked_units,
@@ -1107,5 +1116,19 @@ mod tests {
         assert_eq!(sim.now(), 4, "clock lands on the epoch boundary");
         assert_eq!(sim.remaining_total(0), 2, "demand stranded");
         assert_eq!(sim.blocked_units(), 2);
+    }
+
+    #[test]
+    fn boundaries_are_cached_and_survive_a_snapshot() {
+        let plan = FaultPlan::new(vec![
+            FaultEvent::EgressOutage { port: 1, start: 6, end: 9 },
+            FaultEvent::IngressOutage { port: 0, start: 2, end: 5 },
+            FaultEvent::CoflowCancelled { coflow: 0, at: 6 },
+        ]);
+        let sim = FaultSim::new(2, vec![demand(3)], &[0], plan.clone());
+        assert_eq!(sim.boundaries(), plan.boundaries().as_slice());
+        assert_eq!(sim.boundaries(), &[2, 6, 10]);
+        let restored = FaultSim::from_state(sim.capture()).unwrap();
+        assert_eq!(restored.boundaries(), sim.boundaries());
     }
 }

@@ -25,10 +25,14 @@ sh scripts/check-clippy.sh && CLIPPY=pass
 
 # The scheduler and simulator suites are deterministic; the workspace-wide
 # suite waits on run-scoped obs metrics (a global-registry test is flaky
-# under the parallel runner).
+# under the parallel runner). The benchmark package (perfbench/, its own
+# workspace) is built and unit-tested here too, so an engine API change
+# that breaks its build fails this gate rather than the benchmark run.
 echo ""
 echo "=== tests ==="
-cargo test --release -q -p coflow -p coflow-netsim && TESTS=pass
+cargo test --release -q -p coflow -p coflow-netsim \
+    && cargo test --release --offline --manifest-path perfbench/Cargo.toml \
+    && TESTS=pass
 
 echo ""
 echo "=== perf ==="
