@@ -13,7 +13,8 @@ use coflow::grouping::group_by_grid;
 use coflow::intervals::GeometricGrid;
 use coflow::ordering::{compute_order, OrderRule};
 use coflow::relax::{build_interval_model, solve_interval_lp_with};
-use coflow::sched::{run_with_order, run_with_order_ext};
+use coflow::sched::{run_with_order, run_with_order_opts, ExecOptions};
+use coflow::{run_policy, BvnBatchPolicy};
 use coflow_bench::bench_scale_config;
 use coflow_lp::{solve_with, SimplexOptions};
 use coflow_workloads::{assign_weights, generate_trace, WeightScheme};
@@ -40,11 +41,17 @@ fn ablate_grouping_base(c: &mut Criterion) {
         ("4.0", 4.0),
     ] {
         let grid = GeometricGrid::scaled(horizon, 1.0, base);
-        let groups = group_by_grid(&inst, &order, &grid).groups.len();
-        let out = coflow::sched::run_with_order_grid(&inst, order.clone(), &grid, true);
+        let groups = group_by_grid(&inst, &order, &grid).groups;
+        let opts = ExecOptions {
+            backfill: true,
+            ..ExecOptions::default()
+        };
+        let num_groups = groups.len();
+        let mut policy = BvnBatchPolicy::new(&inst, order.clone(), groups, opts);
+        let out = run_policy(&inst, &mut policy).expect("batch policy run");
         println!(
             "  base {:<12} -> {:>2} groups, objective {:.0}",
-            label, groups, out.objective
+            label, num_groups, out.objective
         );
     }
 
@@ -62,7 +69,12 @@ fn ablate_backfill_scope(c: &mut Criterion) {
     println!("== ablation: backfill scope (objective) ==");
     let none = run_with_order(&inst, order.clone(), true, false);
     let same_pair = run_with_order(&inst, order.clone(), true, true);
-    let rematch = run_with_order_ext(&inst, order.clone(), true, true, true);
+    let rematch_opts = ExecOptions {
+        backfill: true,
+        rematch: true,
+        ..ExecOptions::default()
+    };
+    let rematch = run_with_order_opts(&inst, order.clone(), true, rematch_opts);
     println!("  none (case c):        {:.0}", none.objective);
     println!("  same-pair (paper d):  {:.0}", same_pair.objective);
     println!("  rematch (extension):  {:.0}", rematch.objective);
@@ -75,7 +87,7 @@ fn ablate_backfill_scope(c: &mut Criterion) {
         b.iter(|| run_with_order(&inst, order.clone(), true, true).objective)
     });
     group.bench_function("rematch", |b| {
-        b.iter(|| run_with_order_ext(&inst, order.clone(), true, true, true).objective)
+        b.iter(|| run_with_order_opts(&inst, order.clone(), true, rematch_opts).objective)
     });
     group.finish();
 }

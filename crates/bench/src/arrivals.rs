@@ -10,8 +10,7 @@
 use crate::grid::{case_label, run_grid, CASES};
 use crate::table1::ORDERS;
 use coflow::bounds::interval_lp_bound;
-use coflow::sched::online::run_online_opts;
-use coflow::{Instance, OnlineOptions};
+use coflow::{run_policy, Instance, OnlineOptions, OnlineRhoPolicy, ScheduleOutcome};
 use coflow_workloads::{assign_weights, generate_trace, TraceConfig, WeightScheme};
 
 /// Results of the arrivals experiment.
@@ -57,8 +56,12 @@ pub fn run_arrivals(instance: &Instance) -> ArrivalsReport {
             rows.push((rule.name(), case_label(g, b), grid[&(rule, g, b)].objective));
         }
     }
-    let online = run_online_opts(instance, OnlineOptions::default());
-    let online_stale = run_online_opts(instance, OnlineOptions::legacy());
+    let serve = |opts| -> ScheduleOutcome {
+        run_policy(instance, &mut OnlineRhoPolicy::new(instance, opts))
+            .unwrap_or_else(|e| panic!("arrivals: online hit an engine bug: {}", e))
+    };
+    let online = serve(OnlineOptions::default());
+    let online_stale = serve(OnlineOptions::legacy());
     let lower_bound = interval_lp_bound(instance);
     let mean_release = instance
         .coflows()

@@ -3,7 +3,7 @@
 //! ```text
 //! experiments [table1|fig2a|fig2b|lpexp|ratios|all] [--seed N] [--telemetry PATH]
 //! experiments profile [--out PATH] [--trace PATH] [--baseline PATH]
-//!                     [--tolerance F] [--full] [--sequential] [--seed N]
+//!                     [--tolerance F] [--full] [--seed N]
 //!                     [--mem-out PATH] [--mem-baseline PATH] [--mem-tolerance F]
 //! experiments explain [--out PATH] [--svg PATH] [--trace PATH]
 //!                     [--faults RATE] [--severity LEVEL]
@@ -154,7 +154,6 @@ struct ProfileArgs {
     baseline: Option<String>,
     tolerance: f64,
     full: bool,
-    sequential: bool,
     mem_out: Option<String>,
     mem_baseline: Option<String>,
     mem_tolerance: f64,
@@ -168,7 +167,6 @@ impl Default for ProfileArgs {
             baseline: None,
             tolerance: 0.2,
             full: false,
-            sequential: false,
             mem_out: None,
             mem_baseline: None,
             mem_tolerance: 0.25,
@@ -486,7 +484,6 @@ fn main() {
                 tolerance_flag = Some(parsed);
             }
             "--full" => profile_args.full = true,
-            "--sequential" => profile_args.sequential = true,
             other => {
                 // First positional selects the subcommand; the rest are
                 // subcommand operands (the diff sides).
@@ -846,7 +843,7 @@ fn profile(
         stall_window: Some(40_000),
         ..SimplexOptions::default()
     };
-    let report = run_profile(&inst, seed, &lp_opts, args.sequential);
+    let report = run_profile(&inst, seed, &lp_opts);
     print!("{}", render_profile(&report));
 
     if let Some(trace_path) = &args.trace {

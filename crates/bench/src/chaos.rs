@@ -333,7 +333,8 @@ pub fn run_chaos(instance: &Instance, config: &ChaosConfig) -> ChaosReport {
     // A shared seeded plan so rounds are comparable; the horizon comes from
     // a cheap clean reference (greedy).
     let order = compute_order(instance, OrderRule::LoadOverWeight);
-    let clean = coflow::run_greedy(instance, order);
+    let clean = coflow::run_policy(instance, &mut coflow::GreedyPolicy::new(instance, order))
+        .unwrap_or_else(|e| panic!("chaos: greedy hit an engine bug: {}", e));
     let horizon = clean.makespan().max(1);
     let plan = FaultPlan::generate(
         instance.ports(),

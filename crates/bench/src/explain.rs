@@ -16,10 +16,11 @@
 
 use coflow::diagnostics::{diagnose, diagnose_faulty, DiagnosticsConfig, ScheduleDiagnostics};
 use coflow::ordering::{compute_order, OrderRule};
-use coflow::sched::recovery::run_with_faults_strict;
-use coflow::sched::run_with_order;
 use coflow::relax::{try_solve_interval_lp_with, LpRelaxation};
-use coflow::{AlgorithmSpec, Instance, DETERMINISTIC_RATIO};
+use coflow::sched::run_with_order;
+use coflow::{
+    run_policy_with_faults, AlgorithmSpec, Instance, ResilientPolicy, DETERMINISTIC_RATIO,
+};
 use coflow_lp::SimplexOptions;
 use coflow_netsim::FaultPlan;
 use coflow_workloads::json::{self, fmt_f64, JsonValue};
@@ -159,7 +160,9 @@ pub fn run_explain(
         let horizon = baseline.makespan().max(1);
         let plan =
             FaultPlan::generate(instance.ports(), instance.len(), horizon, rate, seed);
-        let out = run_with_faults_strict(instance, &spec, lp_opts, &plan);
+        let mut policy = ResilientPolicy::new(spec, lp_opts.clone());
+        let out = run_policy_with_faults(instance, &mut policy, &plan)
+            .unwrap_or_else(|e| panic!("explain: engine bug under faults: {}", e));
         let cancelled = out.completions.iter().filter(|c| c.is_none()).count();
         let diag = diagnose_faulty(instance, &out, Some(&baseline), &lp, cfg);
         FaultsSection {

@@ -17,11 +17,10 @@
 use crate::arrivals::arrivals_instance;
 use crate::grid::{case_label, run_grid};
 use crate::table1::ORDERS;
-use coflow::sched::recovery::{run_with_faults_strict, verify_faulty_outcome};
 use coflow::{
-    compute_order, run_greedy, run_greedy_with_faults, run_im_purohit_with_faults,
-    run_online_opts, run_online_with_faults, run_policy, run_shafiee_ghaderi_with_faults,
-    AlgorithmSpec, ImPurohitPolicy, Instance, OnlineOptions, OrderRule,
+    compute_order, run_policy, run_policy_with_faults, verify_faulty_outcome, AlgorithmSpec,
+    FaultyOutcome, GreedyPolicy, ImPurohitPolicy, Instance, OnlineOptions, OnlineRhoPolicy,
+    OrderRule, Policy, ResilientPolicy, ScheduleOutcome, ShafieeGhaderiPolicy,
 };
 use coflow_lp::SimplexOptions;
 use coflow_netsim::FaultPlan;
@@ -94,9 +93,9 @@ pub fn collect_pins_on(instance: &Instance, seed: u64) -> PinReport {
     // plus the fault combinations that did not exist before the engine.
     let start = Instant::now();
     let order = compute_order(instance, OrderRule::LoadOverWeight);
-    let online_fixed = run_online_opts(instance, OnlineOptions::default());
-    let online_stale = run_online_opts(instance, OnlineOptions::legacy());
-    let greedy = run_greedy(instance, order.clone());
+    let online_fixed = clean(instance, OnlineRhoPolicy::new(instance, OnlineOptions::default()));
+    let online_stale = clean(instance, OnlineRhoPolicy::new(instance, OnlineOptions::legacy()));
+    let greedy = clean(instance, GreedyPolicy::new(instance, order.clone()));
     pins.push(Pin {
         label: "online/fixed".to_string(),
         objective: online_fixed.objective,
@@ -116,15 +115,9 @@ pub fn collect_pins_on(instance: &Instance, seed: u64) -> PinReport {
     // Successor-paper policies (registry names): Shafiee–Ghaderi on the
     // H_pd primal-dual permutation, Im–Purohit on the LP order. The LP
     // order is solved once and shared with the fault cell below.
-    let sg = coflow::run_shafiee_ghaderi(instance);
+    let sg = clean(instance, ShafieeGhaderiPolicy::new(instance));
     let ip_order = compute_order(instance, OrderRule::LpBased);
-    let ip = {
-        let mut policy = ImPurohitPolicy::with_order(instance, ip_order.clone());
-        match run_policy(instance, &mut policy) {
-            Ok(out) => out,
-            Err(e) => panic!("pins: im-purohit hit an engine bug: {}", e),
-        }
-    };
+    let ip = clean(instance, ImPurohitPolicy::with_order(instance, ip_order.clone()));
     pins.push(Pin {
         label: "shafiee-ghaderi".to_string(),
         objective: sg.objective,
@@ -147,15 +140,17 @@ pub fn collect_pins_on(instance: &Instance, seed: u64) -> PinReport {
         grouping: true,
         backfill: true,
     };
-    let resilient = run_with_faults_strict(instance, &spec, &SimplexOptions::default(), &plan);
-    let online_faulty = match run_online_with_faults(instance, OnlineOptions::default(), &plan) {
-        Ok(out) => out,
-        Err(e) => panic!("pins: online under faults hit an engine bug: {}", e),
-    };
-    let greedy_faulty = match run_greedy_with_faults(instance, order, &plan) {
-        Ok(out) => out,
-        Err(e) => panic!("pins: greedy under faults hit an engine bug: {}", e),
-    };
+    let resilient = faulty(
+        instance,
+        ResilientPolicy::new(spec, SimplexOptions::default()),
+        &plan,
+    );
+    let online_faulty = faulty(
+        instance,
+        OnlineRhoPolicy::new(instance, OnlineOptions::default()),
+        &plan,
+    );
+    let greedy_faulty = faulty(instance, GreedyPolicy::new(instance, order), &plan);
     for (label, out) in [
         ("faults/resilient", &resilient),
         ("faults/online", &online_faulty),
@@ -174,14 +169,8 @@ pub fn collect_pins_on(instance: &Instance, seed: u64) -> PinReport {
     // The tournament's shared fault rate (0.20) for the successor
     // policies, on its own deterministic plan stream.
     let plan20 = pin_fault_plan_20(instance, seed, &[&online_fixed, &online_stale, &greedy, &sg, &ip]);
-    let sg_faulty = match run_shafiee_ghaderi_with_faults(instance, &plan20) {
-        Ok(out) => out,
-        Err(e) => panic!("pins: shafiee-ghaderi under faults hit an engine bug: {}", e),
-    };
-    let ip_faulty = match run_im_purohit_with_faults(instance, &plan20) {
-        Ok(out) => out,
-        Err(e) => panic!("pins: im-purohit under faults hit an engine bug: {}", e),
-    };
+    let sg_faulty = faulty(instance, ShafieeGhaderiPolicy::new(instance), &plan20);
+    let ip_faulty = faulty(instance, ImPurohitPolicy::with_order(instance, ip_order), &plan20);
     for (label, out) in [
         ("faults20/shafiee-ghaderi", &sg_faulty),
         ("faults20/im-purohit", &ip_faulty),
@@ -198,6 +187,18 @@ pub fn collect_pins_on(instance: &Instance, seed: u64) -> PinReport {
     let engine_ms = start.elapsed().as_secs_f64() * 1e3;
 
     PinReport { seed, engine_ms, pins }
+}
+
+/// Runs `policy` on the clean engine; an engine error is a bug.
+fn clean(instance: &Instance, mut policy: impl Policy) -> ScheduleOutcome {
+    run_policy(instance, &mut policy)
+        .unwrap_or_else(|e| panic!("pins: {} hit an engine bug: {}", policy.name(), e))
+}
+
+/// Runs `policy` under `plan`; an engine error is a bug.
+fn faulty(instance: &Instance, mut policy: impl Policy, plan: &FaultPlan) -> FaultyOutcome {
+    run_policy_with_faults(instance, &mut policy, plan)
+        .unwrap_or_else(|e| panic!("pins: {} under faults hit an engine bug: {}", policy.name(), e))
 }
 
 /// Computes the pins on the canonical arrivals instance (24 ports, 36

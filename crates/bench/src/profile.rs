@@ -12,7 +12,7 @@
 //! `reset()`/`snapshot()` window is what makes the attribution exact.
 
 use coflow::ordering::{try_compute_order_with, OrderRule};
-use coflow::sched::{run_with_order_opts, ExecOptions};
+use coflow::sched::run_with_order;
 use coflow::Instance;
 use coflow_lp::SimplexOptions;
 use coflow_workloads::json::{self, fmt_f64, JsonValue};
@@ -26,10 +26,8 @@ use crate::grid::{case_label, CASES};
 /// `/2` reports **exclusive** self-times: each stage counts only the time
 /// inside its own spans, with nested reported stages subtracted (in `/1`,
 /// `order` swallowed `lp_build` + `lp_solve` for the `H_LP` cells). The
-/// `other` bucket absorbs un-instrumented work, so in single-threaded runs
-/// the stages sum to `total`; under the parallel decomposition path,
-/// `decompose` is CPU time summed across workers and the stage sum may
-/// exceed the wall-clock `total`.
+/// `other` bucket absorbs un-instrumented work, so the stages sum to
+/// `total`.
 ///
 /// `/3` adds a per-cell `mem` object from the counting allocator: peak
 /// live bytes and kernel peak RSS for the cell window, allocation
@@ -76,13 +74,12 @@ pub struct StageTimings {
     /// Ordering stage self-time (`sched.order` minus the nested LP build
     /// and solve).
     pub order_ms: f64,
-    /// BvN decompositions (`matching.bvn_decompose[_maxmin]`); CPU time
-    /// summed across workers under the parallel path.
+    /// BvN decompositions (`matching.bvn_decompose[_maxmin]`).
     pub decompose_ms: f64,
     /// Switch simulation (`sched.simulate`).
     pub simulate_ms: f64,
     /// Un-instrumented remainder: `total` minus the other stages, clamped
-    /// at zero (parallel decompose can push the stage sum past `total`).
+    /// at zero.
     pub other_ms: f64,
     /// Whole cell, measured directly around order + schedule.
     pub total_ms: f64,
@@ -179,16 +176,8 @@ pub struct ProfileReport {
 ///
 /// Each cell gets a fresh registry window (`obs::reset` + enable), runs
 /// ordering and scheduling sequentially, and snapshots its stage spans and
-/// counters. Recording is left disabled afterwards. `sequential` forces
-/// [`ExecOptions::sequential_decompose`], pinning the per-batch BvN
-/// decompositions to one thread — the threads = 1 leg of the speedup
-/// table in EXPERIMENTS.md (outputs are identical either way).
-pub fn run_profile(
-    instance: &Instance,
-    seed: u64,
-    lp_opts: &SimplexOptions,
-    sequential: bool,
-) -> ProfileReport {
+/// counters. Recording is left disabled afterwards.
+pub fn run_profile(instance: &Instance, seed: u64, lp_opts: &SimplexOptions) -> ProfileReport {
     let mut cells = Vec::with_capacity(OrderRule::PAPER_RULES.len() * CASES.len());
     for &rule in &OrderRule::PAPER_RULES {
         for &(grouping, backfill) in &CASES {
@@ -201,12 +190,7 @@ pub fn run_profile(
                 Ok(order) => order,
                 Err(e) => panic!("profile: {:?} order failed: {}", rule, e),
             };
-            let outcome = run_with_order_opts(
-                instance,
-                order,
-                grouping,
-                ExecOptions { backfill, sequential_decompose: sequential, ..ExecOptions::default() },
-            );
+            let outcome = run_with_order(instance, order, grouping, backfill);
             let total_ms = cell_start.elapsed().as_secs_f64() * 1e3;
             let snap = obs::snapshot();
             obs::set_enabled(false);
@@ -652,7 +636,7 @@ mod tests {
 
     fn tiny_report() -> ProfileReport {
         let inst = generate_trace(&TraceConfig::small(7));
-        run_profile(&inst, 7, &SimplexOptions::default(), false)
+        run_profile(&inst, 7, &SimplexOptions::default())
     }
 
     #[test]

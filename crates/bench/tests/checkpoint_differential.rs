@@ -23,10 +23,10 @@
 
 use coflow::sched::recovery::{verify_faulty_outcome, FaultyOutcome};
 use coflow::{
-    compute_order, group_by_doubling, run_greedy, run_online_opts, run_policy,
-    run_policy_with_faults, run_shafiee_ghaderi, AlgorithmSpec, BvnBatchPolicy, Engine,
-    EngineSnapshot, ExecOptions, GreedyPolicy, ImPurohitPolicy, Instance, OnlineOptions,
-    OnlineRhoPolicy, OrderRule, Policy, ResilientPolicy, ShafieeGhaderiPolicy,
+    compute_order, group_by_doubling, run_policy, run_policy_with_faults, AlgorithmSpec,
+    BvnBatchPolicy, Engine, EngineSnapshot, ExecOptions, GreedyPolicy, ImPurohitPolicy, Instance,
+    OnlineOptions, OnlineRhoPolicy, OrderRule, Policy, ResilientPolicy, ScheduleOutcome,
+    ShafieeGhaderiPolicy,
 };
 use coflow_bench::arrivals::arrivals_instance;
 use coflow_bench::pins::{collect_pins_on, parse_pins, pin_fault_plan_20, Pin, FAULT_RATE};
@@ -93,16 +93,27 @@ fn policy_for(instance: &Instance, label: &str) -> Box<dyn Policy> {
     }
 }
 
+fn clean(instance: &Instance, mut policy: impl Policy) -> ScheduleOutcome {
+    run_policy(instance, &mut policy).expect("clean engine run")
+}
+
+/// The clean `online/fixed`, `online/stale` and `greedy` pin cells.
+fn engine_cells(instance: &Instance) -> [ScheduleOutcome; 3] {
+    [
+        clean(instance, OnlineRhoPolicy::new(instance, OnlineOptions::default())),
+        clean(instance, OnlineRhoPolicy::new(instance, OnlineOptions::legacy())),
+        clean(
+            instance,
+            GreedyPolicy::new(instance, compute_order(instance, OrderRule::LoadOverWeight)),
+        ),
+    ]
+}
+
 /// The fault plan of the pin run: clean cells get the empty plan, fault
 /// cells the seeded plan over the clean-makespan horizon (same derivation
 /// as `collect_pins_on`).
 fn pin_fault_plan(instance: &Instance, seed: u64) -> FaultPlan {
-    let online_fixed = run_online_opts(instance, OnlineOptions::default());
-    let online_stale = run_online_opts(instance, OnlineOptions::legacy());
-    let greedy = run_greedy(
-        instance,
-        compute_order(instance, OrderRule::LoadOverWeight),
-    );
+    let [online_fixed, online_stale, greedy] = engine_cells(instance);
     let horizon = online_fixed
         .makespan()
         .max(online_stale.makespan())
@@ -115,20 +126,12 @@ fn pin_fault_plan(instance: &Instance, seed: u64) -> FaultPlan {
 /// makespan of the five engine policies, on the offset seed stream (same
 /// derivation as `collect_pins_on`).
 fn faults20_plan(instance: &Instance, seed: u64) -> FaultPlan {
-    let online_fixed = run_online_opts(instance, OnlineOptions::default());
-    let online_stale = run_online_opts(instance, OnlineOptions::legacy());
-    let greedy = run_greedy(
+    let [online_fixed, online_stale, greedy] = engine_cells(instance);
+    let sg = clean(instance, ShafieeGhaderiPolicy::new(instance));
+    let ip = clean(
         instance,
-        compute_order(instance, OrderRule::LoadOverWeight),
+        ImPurohitPolicy::with_order(instance, compute_order(instance, OrderRule::LpBased)),
     );
-    let sg = run_shafiee_ghaderi(instance);
-    let ip = {
-        let mut policy = ImPurohitPolicy::with_order(
-            instance,
-            compute_order(instance, OrderRule::LpBased),
-        );
-        run_policy(instance, &mut policy).expect("im-purohit clean run")
-    };
     pin_fault_plan_20(instance, seed, &[&online_fixed, &online_stale, &greedy, &sg, &ip])
 }
 

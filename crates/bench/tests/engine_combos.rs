@@ -7,8 +7,8 @@
 
 use coflow::sched::recovery::verify_faulty_outcome;
 use coflow::{
-    compute_order, diagnose_faulty, run_greedy_with_faults, run_online_with_faults,
-    solve_interval_lp, Coflow, Detector, DiagnosticsConfig, Instance, OnlineOptions, OrderRule,
+    compute_order, diagnose_faulty, run_policy_with_faults, solve_interval_lp, Coflow, Detector,
+    DiagnosticsConfig, GreedyPolicy, Instance, OnlineOptions, OnlineRhoPolicy, OrderRule,
 };
 use coflow_bench::arrivals::arrivals_instance;
 use coflow_bench::faults::{
@@ -91,7 +91,8 @@ fn check_combo(
 fn online_under_faults_runs_end_to_end() {
     let instance = inst();
     let plan = FaultPlan::new(vec![FaultEvent::IngressOutage { port: 1, start: 1, end: 6 }]);
-    let out = run_online_with_faults(&instance, OnlineOptions::default(), &plan)
+    let mut policy = OnlineRhoPolicy::new(&instance, OnlineOptions::default());
+    let out = run_policy_with_faults(&instance, &mut policy, &plan)
         .expect("online under faults must settle");
     check_combo(&instance, &plan, &out, true);
 }
@@ -100,7 +101,8 @@ fn online_under_faults_runs_end_to_end() {
 fn online_stale_priorities_also_survive_faults() {
     let instance = inst();
     let plan = FaultPlan::new(vec![FaultEvent::IngressOutage { port: 1, start: 1, end: 6 }]);
-    let out = run_online_with_faults(&instance, OnlineOptions::legacy(), &plan)
+    let mut policy = OnlineRhoPolicy::new(&instance, OnlineOptions::legacy());
+    let out = run_policy_with_faults(&instance, &mut policy, &plan)
         .expect("legacy-resort online under faults must settle");
     check_combo(&instance, &plan, &out, true);
 }
@@ -113,7 +115,8 @@ fn greedy_with_recovery_handles_outage_and_cancellation() {
         FaultEvent::CoflowCancelled { coflow: 2, at: 3 },
     ]);
     let order = compute_order(&instance, OrderRule::LoadOverWeight);
-    let out = run_greedy_with_faults(&instance, order, &plan)
+    let mut policy = GreedyPolicy::new(&instance, order);
+    let out = run_policy_with_faults(&instance, &mut policy, &plan)
         .expect("greedy with recovery must settle");
     assert_eq!(out.completions[2], None, "cancelled coflow never completes");
     assert!(out.completions[0].is_some() && out.completions[1].is_some());

@@ -743,7 +743,7 @@ mod tests {
 
     #[test]
     fn starvation_fires_only_with_blocked_slots() {
-        use crate::sched::recovery::run_with_faults_strict;
+        use crate::sched::engine::{run_policy_with_faults, ResilientPolicy};
         use coflow_lp::SimplexOptions;
         use coflow_netsim::{FaultEvent, FaultPlan};
 
@@ -756,14 +756,13 @@ mod tests {
         let lp = solve_interval_lp(&instance);
         let mut cfg = DiagnosticsConfig::default();
         cfg.starvation_blocked_slots = 1;
+        let run = |plan: &FaultPlan| {
+            let mut policy = ResilientPolicy::new(spec, SimplexOptions::default());
+            run_policy_with_faults(&instance, &mut policy, plan).unwrap()
+        };
 
         // Clean fault run: no starvation possible.
-        let clean = run_with_faults_strict(
-            &instance,
-            &spec,
-            &SimplexOptions::default(),
-            &FaultPlan::default(),
-        );
+        let clean = run(&FaultPlan::default());
         let d_clean = diagnose_faulty(&instance, &clean, None, &lp, &cfg);
         assert!(
             d_clean.anomalies.iter().all(|a| a.detector != Detector::Starvation),
@@ -773,8 +772,7 @@ mod tests {
         // A long ingress outage strands planned units -> starvation fires.
         let plan =
             FaultPlan::new(vec![FaultEvent::IngressOutage { port: 1, start: 1, end: 6 }]);
-        let faulty =
-            run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+        let faulty = run(&plan);
         assert!(faulty.blocked_units > 0, "outage must strand planned units");
         let d = diagnose_faulty(&instance, &faulty, None, &lp, &cfg);
         assert!(

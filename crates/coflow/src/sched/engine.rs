@@ -41,7 +41,6 @@ use crate::instance::Instance;
 use coflow_lp::SimplexOptions;
 use coflow_matching::{bvn_decompose, BvnDecomposition, IntMatrix, MatchingSlot, Permutation};
 use coflow_netsim::{Fabric, FaultPlan, FaultSim, ScheduleTrace, SimError};
-use rayon::prelude::*;
 use std::fmt;
 use std::time::Instant;
 
@@ -76,19 +75,6 @@ impl From<SchedError> for EngineError {
 impl From<SimError> for EngineError {
     fn from(e: SimError) -> Self {
         EngineError::Sim(e)
-    }
-}
-
-impl EngineError {
-    /// Collapses to the simulator error. Panics on the [`EngineError::Sched`]
-    /// arm — callers use this only for policies whose `decide` is
-    /// infallible (all four built-in policies), where a `Sched` error is
-    /// unreachable by construction.
-    pub fn into_sim(self) -> SimError {
-        match self {
-            EngineError::Sim(e) => e,
-            EngineError::Sched(e) => unreachable!("infallible policy failed: {}", e),
-        }
     }
 }
 
@@ -832,8 +818,8 @@ struct ActiveBatch {
 /// idle capacity via same-pair backfilling or work-conserving rematching.
 ///
 /// Scheduling state (order positions, per-pair queues with permanent
-/// prefix trims, pre-fanned decompositions, spare candidate buffers) lives
-/// here; the engine owns the clock and the fabric.
+/// prefix trims, spare candidate buffers) lives here; the engine owns the
+/// clock and the fabric.
 pub struct BvnBatchPolicy {
     order: Vec<usize>,
     batches: Vec<Vec<usize>>,
@@ -847,15 +833,6 @@ pub struct BvnBatchPolicy {
     /// permanent and the skipped prefix can never become a candidate again.
     pair_queue: Vec<Vec<usize>>,
     pair_head: Vec<usize>,
-    /// Without backfilling or rematching, no coflow receives service before
-    /// its own batch runs, so every batch's remaining demand at its turn
-    /// equals its full demand. The per-batch aggregates — and hence the
-    /// Birkhoff–von Neumann decompositions, by far the hottest per-batch
-    /// work — are then independent of execution order and are computed up
-    /// front in the constructor, fanned out over worker threads. Result
-    /// order is deterministic: the parallel map preserves input order.
-    precomputed: Vec<Option<BvnDecomposition>>,
-    parallel_decompose: bool,
     b_idx: usize,
     current: Option<ActiveBatch>,
     /// Reused across chunks: the outer run buffer and a spare-buffer pool
@@ -896,42 +873,6 @@ impl BvnBatchPolicy {
                 pair_queue[i * m + j].push(k);
             }
         }
-        let parallel_decompose =
-            !opts.backfill && !opts.rematch && !opts.sequential_decompose;
-        let precomputed: Vec<Option<BvnDecomposition>> = if parallel_decompose {
-            let aggregates: Vec<Option<IntMatrix>> = batches
-                .iter()
-                .map(|batch| {
-                    let mut agg = IntMatrix::zeros(m);
-                    for &k in batch {
-                        for (i, j, v) in instance.coflow(k).demand.nonzero_entries() {
-                            agg[(i, j)] += v;
-                        }
-                    }
-                    if agg.is_zero() {
-                        None
-                    } else {
-                        Some(agg)
-                    }
-                })
-                .collect();
-            aggregates
-                .par_iter()
-                .map(|agg| {
-                    agg.as_ref().map(|a| {
-                        if opts.maxmin_decomposition {
-                            coflow_matching::bvn_decompose_maxmin(a)
-                        } else if opts.sharded_decompose {
-                            coflow_matching::bvn_decompose_sharded(a)
-                        } else {
-                            bvn_decompose(a)
-                        }
-                    })
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         BvnBatchPolicy {
             order,
             batches,
@@ -939,8 +880,6 @@ impl BvnBatchPolicy {
             pos,
             pair_queue,
             pair_head: vec![0; m * m],
-            precomputed,
-            parallel_decompose,
             b_idx: 0,
             current: None,
             pairs_pool: Vec::new(),
@@ -951,15 +890,14 @@ impl BvnBatchPolicy {
         }
     }
 
-    /// Rebuilds a checkpointed policy. Derived state (order positions,
-    /// pair queues, parallel pre-decompositions) is recomputed from the
-    /// instance — it depends only on full demands and the order, both of
-    /// which the snapshot carries; pre-decompositions already consumed by
-    /// past batches are re-dropped. `pair_head` trims restart at zero:
-    /// they are a pure scan optimization (trimmed prefixes have zero
-    /// remaining demand and are filtered out either way), so decisions are
-    /// unaffected. The per-batch obs span is reopened when a batch is in
-    /// flight so the stage taxonomy matches an uninterrupted run.
+    /// Rebuilds a checkpointed policy. Derived state (order positions and
+    /// pair queues) is recomputed from the instance — it depends only on
+    /// full demands and the order, both of which the snapshot carries.
+    /// `pair_head` trims restart at zero: they are a pure scan optimization
+    /// (trimmed prefixes have zero remaining demand and are filtered out
+    /// either way), so decisions are unaffected. The per-batch obs span is
+    /// reopened when a batch is in flight so the stage taxonomy matches an
+    /// uninterrupted run.
     pub(crate) fn restore(
         instance: &Instance,
         order: Vec<usize>,
@@ -974,11 +912,6 @@ impl BvnBatchPolicy {
         }
         let mut policy = BvnBatchPolicy::new(instance, order, batches, opts);
         policy.b_idx = b_idx;
-        if policy.parallel_decompose {
-            for slot in policy.precomputed.iter_mut().take(b_idx) {
-                *slot = None;
-            }
-        }
         if let Some(cs) = current {
             let m = instance.ports();
             if cs.augmented.len() != m * m {
@@ -1265,46 +1198,21 @@ impl Policy for BvnBatchPolicy {
                 .unwrap_or_else(|| unreachable!("batch checked non-empty above"));
 
             // Aggregate the *remaining* demand of the batch (earlier
-            // backfilling may have partially cleared it); the parallel path
-            // fanned the decompositions out in the constructor instead.
-            let agg = if self.parallel_decompose {
-                None
+            // backfilling may have partially cleared it).
+            let mut agg = IntMatrix::zeros(m);
+            for &k in batch {
+                for (i, j, _) in instance.coflow(k).demand.nonzero_entries() {
+                    agg[(i, j)] += state.remaining(k, i, j);
+                }
+            }
+            if agg.is_zero() {
+                self.b_idx += 1;
+                continue;
+            }
+            let dec = if self.opts.maxmin_decomposition {
+                coflow_matching::bvn_decompose_maxmin(&agg)
             } else {
-                let mut agg = IntMatrix::zeros(m);
-                for &k in batch {
-                    for (i, j, _) in instance.coflow(k).demand.nonzero_entries() {
-                        agg[(i, j)] += state.remaining(k, i, j);
-                    }
-                }
-                Some(agg)
-            };
-            let dec = match agg {
-                Some(agg) if agg.is_zero() => {
-                    self.b_idx += 1;
-                    continue;
-                }
-                // Residual aggregates (backfill/rematch drained some pairs
-                // mid-run) stay on the sequential decomposition even under
-                // `sharded_decompose`: the sharded merge reorders slots of
-                // multi-component supports, and residual supports disconnect
-                // routinely, which would change the schedule.
-                Some(agg) => {
-                    if self.opts.maxmin_decomposition {
-                        coflow_matching::bvn_decompose_maxmin(&agg)
-                    } else {
-                        bvn_decompose(&agg)
-                    }
-                }
-                None => match self.precomputed[b_idx].take() {
-                    Some(dec) => dec,
-                    // The precompute saw a zero aggregate, which (without
-                    // backfill) also means `batch_release` above was
-                    // `None`; this arm is unreachable but harmless.
-                    None => {
-                        self.b_idx += 1;
-                        continue;
-                    }
-                },
+                bvn_decompose(&agg)
             };
 
             let slot_sequence = self.order_slots(state, &dec, b_idx);
@@ -1378,8 +1286,8 @@ impl Policy for BvnBatchPolicy {
 /// [`EpochState::execute_until`], where that execution ends: the order and
 /// groups still cover the whole residual, and the planned runs are the
 /// prefix of the full plan, so the executed schedule is the one a
-/// full-horizon plan would give. This is the legacy `run_with_faults`
-/// epoch loop, expressed as a policy; it requires the fault-aware engine
+/// full-horizon plan would give. This is the legacy fault-recovery epoch
+/// loop, expressed as a policy; it requires the fault-aware engine
 /// ([`run_policy_with_faults`]).
 pub struct ResilientPolicy {
     spec: AlgorithmSpec,

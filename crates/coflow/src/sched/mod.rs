@@ -7,12 +7,12 @@
 //! each batch's member releases, aggregates their remaining demand, clears
 //! it with a Birkhoff–von Neumann schedule (Algorithm 1), and — when
 //! backfilling is enabled — donates unforced idle slots to later coflows on
-//! the same port pair. The entry points here are thin shims constructing
-//! the policy and handing it to [`engine::run_policy`].
+//! the same port pair. The functions here build the batches of the §4 grid
+//! and the randomized variant for that policy; every other scheduler is a
+//! [`engine::Policy`] run directly with [`engine::run_policy`] or
+//! [`engine::run_policy_with_faults`].
 
 pub mod engine;
-pub mod greedy;
-pub mod online;
 pub mod optimal;
 pub mod ordered;
 pub mod recovery;
@@ -100,20 +100,6 @@ pub struct ExecOptions {
     /// ([`coflow_matching::bvn_decompose_maxmin`]): same ρ slots, far fewer
     /// distinct matchings (fabric reconfigurations).
     pub maxmin_decomposition: bool,
-    /// Force the per-batch decompositions to run serially inside the batch
-    /// loop even when the parallel precompute would apply. Exists so tests
-    /// and benchmarks can compare the two paths; outputs are identical.
-    pub sequential_decompose: bool,
-    /// Decompose batch aggregates with the port-sharded BvN variant
-    /// ([`coflow_matching::bvn_decompose_sharded`]): port-disjoint support
-    /// components are factored in parallel and merged on a shared timeline.
-    /// Slot-identical to the sequential path on single-component aggregates
-    /// (every lone coflow, and connected groups). Applies to the parallel
-    /// precompute path only — residual aggregates under backfill/rematch
-    /// stay sequential, because drained pairs disconnect supports and the
-    /// sharded merge would reorder those slots. Ignored when
-    /// `maxmin_decomposition` or `sequential_decompose` is set.
-    pub sharded_decompose: bool,
 }
 
 /// Runs the scheduling stage with an externally supplied order.
@@ -123,10 +109,21 @@ pub fn run_with_order(
     grouping: bool,
     backfill: bool,
 ) -> ScheduleOutcome {
-    run_with_order_ext(instance, order, grouping, backfill, false)
+    let opts = ExecOptions {
+        backfill,
+        ..ExecOptions::default()
+    };
+    run_with_order_opts(instance, order, grouping, opts)
 }
 
-/// Runs the scheduling stage with full execution options.
+/// Runs the scheduling stage with full execution options. `opts.rematch`
+/// adds the *work-conserving rematch* extension: when a pair of the
+/// Birkhoff–von Neumann matching has no demand left to serve (its padding
+/// came from the augmentation), its two ports are re-matched to pending
+/// demand instead of idling. This goes beyond the paper's same-pair
+/// backfilling (§4.1) and is evaluated as an ablation in the benchmark
+/// suite; re-matching only adds service, so every completion-time
+/// guarantee is preserved.
 pub fn run_with_order_opts(
     instance: &Instance,
     order: Vec<usize>,
@@ -170,54 +167,6 @@ fn batches_of(instance: &Instance, order: &[usize], grouping: bool) -> Vec<Vec<u
     }
 }
 
-/// [`run_with_order`] plus the *work-conserving rematch* extension: when a
-/// pair of the Birkhoff–von Neumann matching has no demand left to serve
-/// (its padding came from the augmentation), its two ports are re-matched
-/// to pending demand instead of idling. This goes beyond the paper's
-/// same-pair backfilling (§4.1) — it is the natural next implementation
-/// step a production scheduler would take — and is evaluated as an ablation
-/// in the benchmark suite. All completion-time guarantees are preserved:
-/// re-matching only adds service.
-pub fn run_with_order_ext(
-    instance: &Instance,
-    order: Vec<usize>,
-    grouping: bool,
-    backfill: bool,
-    rematch: bool,
-) -> ScheduleOutcome {
-    run_with_order_opts(
-        instance,
-        order,
-        grouping,
-        ExecOptions {
-            backfill,
-            rematch,
-            ..ExecOptions::default()
-        },
-    )
-}
-
-/// Runs the grouped scheduler with an arbitrary geometric grid (ablation:
-/// grouping base 2 vs 1+√2 vs coarser). The deterministic Algorithm 2 is
-/// `GeometricGrid::doubling`; the randomized algorithm samples the grid.
-pub fn run_with_order_grid(
-    instance: &Instance,
-    order: Vec<usize>,
-    grid: &GeometricGrid,
-    backfill: bool,
-) -> ScheduleOutcome {
-    let batches = group_by_grid(instance, &order, grid).groups;
-    execute_batches(
-        instance,
-        order,
-        batches,
-        ExecOptions {
-            backfill,
-            ..ExecOptions::default()
-        },
-    )
-}
-
 /// The randomized algorithm of §3.2: groups by the random grid
 /// `τ'_l = T₀ aˡ⁻¹`, `a = 1 + √2`, `T₀ ~ Uniform[1, a]`, then schedules
 /// exactly like Algorithm 2.
@@ -245,11 +194,11 @@ pub fn run_randomized<R: Rng + ?Sized>(
     )
 }
 
-/// Shared execution shim. `batches` must partition `order` into
-/// consecutive runs (every scheduler above guarantees this). Constructs a
-/// [`BvnBatchPolicy`] and runs it on the clean engine; the `sched.execute`
-/// span is kept here so the obs stage taxonomy is unchanged.
-pub(crate) fn execute_batches(
+/// Runs a [`BvnBatchPolicy`] over `batches` on the clean engine.
+/// `batches` must partition `order` into consecutive runs (every scheduler
+/// above guarantees this). The `sched.execute` span is opened here so the
+/// obs stage taxonomy covers the whole scheduling stage.
+fn execute_batches(
     instance: &Instance,
     order: Vec<usize>,
     batches: Vec<Vec<usize>>,

@@ -30,7 +30,8 @@
 //! frozen per-slot loops, clean and under faults, in
 //! `tests/engine_differential.rs`). Remaining demand is reread live from
 //! [`EpochState`], so the policies replan under faults with
-//! [`run_policy_with_faults`]; planning state is the permutation (online:
+//! [`run_policy_with_faults`](crate::sched::engine::run_policy_with_faults);
+//! planning state is the permutation (online:
 //! the admission cursor and active set), captured in [`PolicyState`] for
 //! checkpoints. The 5 and 4 bounds (vs the interval-LP lower bound) are
 //! asserted empirically by the bench crate's tournament tests.
@@ -38,11 +39,8 @@
 use crate::error::SchedError;
 use crate::instance::Instance;
 use crate::ordering::{compute_order, OrderRule};
-use crate::sched::engine::{run_policy, run_policy_with_faults, Decision, EpochState, Policy};
-use crate::sched::recovery::FaultyOutcome;
+use crate::sched::engine::{Decision, EpochState, Policy};
 use crate::sched::snapshot::PolicyState;
-use crate::sched::ScheduleOutcome;
-use coflow_netsim::{FaultPlan, SimError};
 
 /// Behavior knobs of [`OnlineRhoPolicy`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -419,26 +417,6 @@ greedy_family_policy!(ShafieeGhaderiPolicy, "shafiee-ghaderi", |p| {
     }
 });
 
-/// Runs the Shafiee–Ghaderi scheduler on a clean fabric.
-pub fn run_shafiee_ghaderi(instance: &Instance) -> ScheduleOutcome {
-    let mut policy = ShafieeGhaderiPolicy::new(instance);
-    match run_policy(instance, &mut policy) {
-        Ok(out) => out,
-        Err(e) => unreachable!("shafiee-ghaderi policy is infallible: {}", e),
-    }
-}
-
-/// Runs the Shafiee–Ghaderi scheduler under fault injection: every
-/// decision rescans live remaining demand, so stranded units are
-/// re-served when a path reopens and cancellations leave the scan.
-pub fn run_shafiee_ghaderi_with_faults(
-    instance: &Instance,
-    plan: &FaultPlan,
-) -> Result<FaultyOutcome, SimError> {
-    let mut policy = ShafieeGhaderiPolicy::new(instance);
-    run_policy_with_faults(instance, &mut policy, plan).map_err(|e| e.into_sim())
-}
-
 // ---------------------------------------------------------------------------
 // Im–Purohit: LP-completion-time permutation (4-approx).
 // ---------------------------------------------------------------------------
@@ -469,38 +447,44 @@ greedy_family_policy!(ImPurohitPolicy, "im-purohit", |p| PolicyState::ImPurohit 
     order: p.core.order()
 });
 
-/// Runs the Im–Purohit scheduler on a clean fabric (solves the LP).
-pub fn run_im_purohit(instance: &Instance) -> ScheduleOutcome {
-    let mut policy = ImPurohitPolicy::new(instance);
-    match run_policy(instance, &mut policy) {
-        Ok(out) => out,
-        Err(e) => unreachable!("im-purohit policy is infallible: {}", e),
-    }
-}
-
-/// Runs the Im–Purohit scheduler under fault injection. The LP is solved
-/// once, on the clean instance; the permutation is then served against
-/// live (post-fault) remaining demand.
-pub fn run_im_purohit_with_faults(
-    instance: &Instance,
-    plan: &FaultPlan,
-) -> Result<FaultyOutcome, SimError> {
-    let mut policy = ImPurohitPolicy::new(instance);
-    run_policy_with_faults(instance, &mut policy, plan).map_err(|e| e.into_sim())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coflow::Coflow;
+    use crate::sched::engine::{run_policy, run_policy_with_faults};
+    use crate::sched::recovery::{verify_faulty_outcome, FaultyOutcome};
+    use crate::sched::ScheduleOutcome;
     use coflow_matching::IntMatrix;
-    use coflow_netsim::validate_trace;
+    use coflow_netsim::{validate_trace, FaultPlan};
+
+    fn clean(inst: &Instance, mut policy: impl Policy) -> ScheduleOutcome {
+        run_policy(inst, &mut policy).unwrap()
+    }
+
+    fn faulty(inst: &Instance, mut policy: impl Policy, plan: &FaultPlan) -> FaultyOutcome {
+        run_policy_with_faults(inst, &mut policy, plan).unwrap()
+    }
+
+    fn greedy(inst: &Instance, order: Vec<usize>) -> ScheduleOutcome {
+        clean(inst, GreedyPolicy::new(inst, order))
+    }
+
+    fn online(inst: &Instance, opts: OnlineOptions) -> ScheduleOutcome {
+        clean(inst, OnlineRhoPolicy::new(inst, opts))
+    }
 
     fn validate(inst: &Instance, out: &ScheduleOutcome) {
         let times =
             validate_trace(&inst.demand_matrices(), &inst.releases(), &out.trace).unwrap();
         assert_eq!(times, out.completions);
         assert!((inst.objective(&times) - out.objective).abs() < 1e-9);
+    }
+
+    fn fig1_instance() -> Instance {
+        Instance::new(
+            2,
+            vec![Coflow::new(0, IntMatrix::from_nested(&[[1, 2], [2, 1]]))],
+        )
     }
 
     fn dense_instance() -> Instance {
@@ -511,9 +495,119 @@ mod tests {
     }
 
     #[test]
+    fn greedy_clears_fig1_in_three_slots() {
+        let inst = fig1_instance();
+        let out = greedy(&inst, vec![0]);
+        assert_eq!(out.completions, vec![3]);
+        validate(&inst, &out);
+    }
+
+    #[test]
+    fn greedy_is_work_conserving_across_coflows() {
+        // c0 on pair (0,0), c1 on pair (1,1): both served in slot 1.
+        let c0 = Coflow::new(0, IntMatrix::from_nested(&[[1, 0], [0, 0]]));
+        let c1 = Coflow::new(1, IntMatrix::from_nested(&[[0, 0], [0, 1]]));
+        let inst = Instance::new(2, vec![c0, c1]);
+        let out = greedy(&inst, vec![0, 1]);
+        assert_eq!(out.completions, vec![1, 1]);
+    }
+
+    #[test]
+    fn greedy_respects_releases_and_skips_idle_gaps() {
+        let c0 = Coflow::new(0, IntMatrix::from_nested(&[[1, 0], [0, 0]]));
+        let c1 = Coflow::new(1, IntMatrix::from_nested(&[[1, 0], [0, 0]])).with_release(100);
+        let inst = Instance::new(2, vec![c0, c1]);
+        let out = greedy(&inst, vec![0, 1]);
+        assert_eq!(out.completions, vec![1, 101]);
+        validate(&inst, &out);
+    }
+
+    #[test]
+    fn greedy_validates_on_dense_instance() {
+        let c0 = Coflow::new(0, IntMatrix::from_nested(&[[3, 1], [0, 2]]));
+        let c1 = Coflow::new(1, IntMatrix::from_nested(&[[1, 4], [2, 0]])).with_weight(2.0);
+        let inst = Instance::new(2, vec![c0, c1]);
+        let order = compute_order(&inst, OrderRule::LoadOverWeight);
+        validate(&inst, &greedy(&inst, order));
+    }
+
+    #[test]
+    fn online_clears_a_single_coflow_optimally() {
+        let inst = fig1_instance();
+        let out = online(&inst, OnlineOptions::default());
+        assert_eq!(out.completions, vec![3]);
+        validate(&inst, &out);
+    }
+
+    #[test]
+    fn online_prioritizes_heavy_small_coflows() {
+        let big = Coflow::new(0, IntMatrix::from_nested(&[[6, 0], [0, 0]]));
+        let small = Coflow::new(1, IntMatrix::from_nested(&[[2, 0], [0, 0]])).with_weight(10.0);
+        let inst = Instance::new(2, vec![big, small]);
+        let out = online(&inst, OnlineOptions::default());
+        validate(&inst, &out);
+        assert!(out.completions[1] < out.completions[0]);
+        assert_eq!(out.completions[1], 2);
+    }
+
+    #[test]
+    fn online_reacts_to_late_arrivals() {
+        // A big coflow starts alone; a tiny urgent one arrives at t = 2 and
+        // preempts it on the shared pair.
+        let big = Coflow::new(0, IntMatrix::from_nested(&[[10, 0], [0, 0]]));
+        let urgent = Coflow::new(1, IntMatrix::from_nested(&[[1, 0], [0, 0]]))
+            .with_weight(100.0)
+            .with_release(2);
+        let inst = Instance::new(2, vec![big, urgent]);
+        let out = online(&inst, OnlineOptions::default());
+        validate(&inst, &out);
+        assert_eq!(out.completions[1], 3, "urgent coflow served right after arrival");
+        assert_eq!(out.completions[0], 11);
+    }
+
+    #[test]
+    fn online_never_schedules_before_release() {
+        let c = Coflow::new(0, IntMatrix::from_nested(&[[1, 0], [0, 0]])).with_release(5);
+        let inst = Instance::new(2, vec![c]);
+        let out = online(&inst, OnlineOptions::default());
+        validate(&inst, &out);
+        assert_eq!(out.completions, vec![6]);
+    }
+
+    #[test]
+    fn completion_resort_fixes_stale_priorities() {
+        // X hogs pair (0,0) for 8 slots (ratio 1, always head). U (ratio 2)
+        // wants only (0,0): fully blocked behind X. S (initial ratio 6)
+        // drains its bottleneck (1,1) in slots 1-6, leaving one unit on
+        // (0,0) and a *remaining* ratio of 1 — but the legacy scheduler
+        // never re-ranks it because no coflow arrives. When X completes at
+        // slot 8, legacy hands (0,0) to U (stale order U < S) while the
+        // completion re-sort correctly hands it to S, whose remaining
+        // ratio 1 now beats U's 2.
+        let x = Coflow::new(0, IntMatrix::from_nested(&[[8, 0], [0, 0]])).with_weight(8.0);
+        let u = Coflow::new(1, IntMatrix::from_nested(&[[3, 0], [0, 0]])).with_weight(1.5);
+        let s = Coflow::new(2, IntMatrix::from_nested(&[[1, 0], [0, 6]]));
+        let inst = Instance::new(2, vec![x, u, s]);
+        let legacy = online(&inst, OnlineOptions::legacy());
+        let fixed = online(&inst, OnlineOptions::default());
+        validate(&inst, &legacy);
+        validate(&inst, &fixed);
+        // Legacy: U gets slots 9-11, S's last unit waits until 12.
+        assert_eq!(legacy.completions, vec![8, 11, 12]);
+        // Fixed: S's single remaining unit goes first (ratio 1 < 2), then U.
+        assert_eq!(fixed.completions, vec![8, 12, 9]);
+        assert!(
+            fixed.objective < legacy.objective,
+            "completion re-sort must win on this instance: {} vs {}",
+            fixed.objective,
+            legacy.objective
+        );
+    }
+
+    #[test]
     fn shafiee_ghaderi_validates_and_is_work_conserving() {
         let inst = dense_instance();
-        let out = run_shafiee_ghaderi(&inst);
+        let out = clean(&inst, ShafieeGhaderiPolicy::new(&inst));
         validate(&inst, &out);
         // The committed order is the primal-dual permutation.
         assert_eq!(out.order, compute_order(&inst, OrderRule::PortPrimalDual));
@@ -522,7 +616,7 @@ mod tests {
     #[test]
     fn im_purohit_validates_and_uses_the_lp_order() {
         let inst = dense_instance();
-        let out = run_im_purohit(&inst);
+        let out = clean(&inst, ImPurohitPolicy::new(&inst));
         validate(&inst, &out);
         assert_eq!(out.order, compute_order(&inst, OrderRule::LpBased));
     }
@@ -530,23 +624,21 @@ mod tests {
     #[test]
     fn lone_coflow_completes_at_its_load_under_both() {
         // Lemma-4 analog: a lone coflow finishes in exactly rho slots.
-        let inst = Instance::new(
-            2,
-            vec![Coflow::new(0, IntMatrix::from_nested(&[[1, 2], [2, 1]]))],
-        );
-        assert_eq!(run_shafiee_ghaderi(&inst).completions, vec![3]);
-        assert_eq!(run_im_purohit(&inst).completions, vec![3]);
+        let inst = fig1_instance();
+        let sg = clean(&inst, ShafieeGhaderiPolicy::new(&inst));
+        assert_eq!(sg.completions, vec![3]);
+        let ip = clean(&inst, ImPurohitPolicy::new(&inst));
+        assert_eq!(ip.completions, vec![3]);
     }
 
     #[test]
     fn both_policies_survive_fault_injection() {
-        use crate::sched::recovery::verify_faulty_outcome;
         let inst = dense_instance();
-        let horizon = run_shafiee_ghaderi(&inst).makespan().max(8);
+        let horizon = clean(&inst, ShafieeGhaderiPolicy::new(&inst)).makespan().max(8);
         let plan = FaultPlan::generate(inst.ports(), inst.len(), horizon, 0.4, 13);
-        let sg = run_shafiee_ghaderi_with_faults(&inst, &plan).unwrap();
+        let sg = faulty(&inst, ShafieeGhaderiPolicy::new(&inst), &plan);
         verify_faulty_outcome(&inst, &plan, &sg).unwrap();
-        let ip = run_im_purohit_with_faults(&inst, &plan).unwrap();
+        let ip = faulty(&inst, ImPurohitPolicy::new(&inst), &plan);
         verify_faulty_outcome(&inst, &plan, &ip).unwrap();
     }
 

@@ -1,6 +1,8 @@
 //! Fault-aware scheduling with epoch-based rescheduling.
 //!
-//! [`run_with_faults`] closes the loop between the resilient planner
+//! A [`ResilientPolicy`](super::engine::ResilientPolicy) run by
+//! [`run_policy_with_faults`](super::engine::run_policy_with_faults) closes
+//! the loop between the resilient planner
 //! ([`super::resilient`]) and the fault-injecting executor
 //! ([`coflow_netsim::FaultSim`]): a schedule is planned for the current
 //! residual demand, executed slot by slot under the [`FaultPlan`] until the
@@ -18,19 +20,13 @@
 //! fabric state at `t`, so the planned runs are exactly the prefix of a
 //! full-horizon plan and the executed schedule is unchanged.
 //!
-//! The epoch loop itself lives in the engine
-//! ([`super::engine::run_policy_with_faults`] driving a
-//! [`super::engine::ResilientPolicy`]); [`run_with_faults`] is a shim, and
-//! the same loop also hosts the online/greedy policies
-//! ([`super::online::run_online_with_faults`],
-//! [`super::greedy::run_greedy_with_faults`]) with uniformly populated
-//! [`FaultyOutcome::replans`]/[`FaultyOutcome::tiers`].
+//! The epoch loop itself lives in the engine; the same loop also hosts the
+//! greedy-family policies (`sched::ordered`) with uniformly populated
+//! [`FaultyOutcome::replans`]/[`FaultyOutcome::tiers`]. This module holds
+//! the outcome type and its verifier.
 
-use super::engine::{run_policy_with_faults, ResilientPolicy};
-use super::AlgorithmSpec;
 use crate::instance::Instance;
-use coflow_lp::SimplexOptions;
-use coflow_netsim::{BlockedSlot, FaultPlan, ScheduleTrace, SimError};
+use coflow_netsim::{BlockedSlot, FaultPlan, ScheduleTrace};
 
 /// The result of executing an instance to quiescence under a fault plan.
 #[derive(Clone, Debug)]
@@ -62,39 +58,14 @@ impl FaultyOutcome {
     }
 }
 
-/// Plans, executes under `plan`, and replans until every coflow is either
-/// complete or cancelled. The planner degrades through the ordering
-/// fallback chain with `lp_opts` budgets; the executor strands blocked
-/// units instead of failing. Errors only on structural violations
-/// ([`SimError`]), which indicate a scheduler bug.
-pub fn run_with_faults(
-    instance: &Instance,
-    spec: &AlgorithmSpec,
-    lp_opts: &SimplexOptions,
-    plan: &FaultPlan,
-) -> Result<FaultyOutcome, SimError> {
-    let mut policy = ResilientPolicy::new(*spec, lp_opts.clone());
-    run_policy_with_faults(instance, &mut policy, plan).map_err(|e| e.into_sim())
-}
-
-/// [`run_with_faults`] that panics on structural violations — convenient
-/// for tests and experiment harnesses where a [`SimError`] is a bug.
-pub fn run_with_faults_strict(
-    instance: &Instance,
-    spec: &AlgorithmSpec,
-    lp_opts: &SimplexOptions,
-    plan: &FaultPlan,
-) -> FaultyOutcome {
-    match run_with_faults(instance, spec, lp_opts, plan) {
-        Ok(out) => out,
-        Err(e) => panic!("fault-aware execution hit a scheduler bug: {}", e),
-    }
-}
-
 /// Verifies a [`FaultyOutcome`] against the instance and plan: every
 /// executed slot satisfies the `2m` matching constraints and moves only
 /// real, released, un-cancelled demand over open links; every non-cancelled
-/// coflow's demand is delivered exactly. Returns the first violation found.
+/// coflow's demand is delivered exactly; a completed coflow's slot is that
+/// of its last delivered unit (its release date for zero demand), and a
+/// fully delivered coflow is never reported incomplete; `objective` is
+/// `Σ w_k C_k` over the completed coflows (with the tolerance of
+/// [`crate::verify::verify_outcome`]). Returns the first violation found.
 pub fn verify_faulty_outcome(
     instance: &Instance,
     plan: &FaultPlan,
@@ -102,7 +73,11 @@ pub fn verify_faulty_outcome(
 ) -> Result<(), String> {
     let m = instance.ports();
     let n = instance.len();
+    if out.completions.len() != n {
+        return Err(format!("{} completions for {} coflows", out.completions.len(), n));
+    }
     let mut delivered: Vec<u64> = vec![0; n];
+    let mut last_slot: Vec<u64> = vec![0; n];
     let mut per_pair: Vec<std::collections::HashMap<(usize, usize), u64>> =
         vec![std::collections::HashMap::new(); n];
     for run in &out.executed.runs {
@@ -142,6 +117,7 @@ pub fn verify_faulty_outcome(
                 }
             }
             delivered[t.coflow] += 1;
+            last_slot[t.coflow] = last_slot[t.coflow].max(slot);
             *per_pair[t.coflow].entry((t.src, t.dst)).or_insert(0) += 1;
         }
     }
@@ -152,16 +128,27 @@ pub fn verify_faulty_outcome(
                 return Err(format!("coflow {}: over-delivery on ({}, {})", k, i, j));
             }
         }
+        let fully_delivered = delivered[k] == c.total_units();
         match out.completions[k] {
-            Some(_) => {
-                if delivered[k] != c.total_units() {
+            Some(_) if !fully_delivered => {
+                return Err(format!(
+                    "coflow {}: completed but delivered {} of {}",
+                    k,
+                    delivered[k],
+                    c.total_units()
+                ));
+            }
+            Some(at) => {
+                let expected = if delivered[k] == 0 { c.release } else { last_slot[k] };
+                if at != expected {
                     return Err(format!(
-                        "coflow {}: completed but delivered {} of {}",
-                        k,
-                        delivered[k],
-                        c.total_units()
+                        "coflow {}: completion {} but its last unit arrived at {}",
+                        k, at, expected
                     ));
                 }
+            }
+            None if fully_delivered => {
+                return Err(format!("coflow {}: fully delivered but reported incomplete", k));
             }
             None => {
                 if plan.cancellation(k).is_none() {
@@ -169,6 +156,18 @@ pub fn verify_faulty_outcome(
                 }
             }
         }
+    }
+    let objective: f64 = out
+        .completions
+        .iter()
+        .zip(instance.coflows())
+        .filter_map(|(c, cf)| c.map(|t| cf.weight * t as f64))
+        .sum();
+    if (objective - out.objective).abs() > 1e-6 * (1.0 + objective.abs()) {
+        return Err(format!(
+            "objective {} but the completions give {}",
+            out.objective, objective
+        ));
     }
     Ok(())
 }
@@ -178,8 +177,22 @@ mod tests {
     use super::*;
     use crate::coflow::Coflow;
     use crate::ordering::OrderRule;
+    use crate::sched::engine::{run_policy_with_faults, ResilientPolicy};
+    use crate::sched::ordered::{OnlineOptions, OnlineRhoPolicy};
+    use crate::sched::AlgorithmSpec;
+    use coflow_lp::SimplexOptions;
     use coflow_matching::IntMatrix;
     use coflow_netsim::FaultEvent;
+
+    fn resilient_under_faults(
+        instance: &Instance,
+        spec: &AlgorithmSpec,
+        lp_opts: &SimplexOptions,
+        plan: &FaultPlan,
+    ) -> FaultyOutcome {
+        let mut policy = ResilientPolicy::new(*spec, lp_opts.clone());
+        run_policy_with_faults(instance, &mut policy, plan).unwrap()
+    }
 
     fn inst() -> Instance {
         let c0 = Coflow::new(0, IntMatrix::from_nested(&[[3, 1], [0, 2]])).with_weight(2.0);
@@ -192,7 +205,7 @@ mod tests {
     fn no_faults_matches_plain_scheduling() {
         let instance = inst();
         let spec = AlgorithmSpec::algorithm2();
-        let out = run_with_faults_strict(
+        let out = resilient_under_faults(
             &instance,
             &spec,
             &SimplexOptions::default(),
@@ -213,7 +226,7 @@ mod tests {
         let instance = inst();
         let spec = AlgorithmSpec::algorithm2();
         let plan = FaultPlan::new(vec![FaultEvent::IngressOutage { port: 1, start: 1, end: 4 }]);
-        let out = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+        let out = resilient_under_faults(&instance, &spec, &SimplexOptions::default(), &plan);
         assert!(out.completions.iter().all(Option::is_some));
         assert!(out.replans >= 2, "stranded demand must force a replan");
         verify_faulty_outcome(&instance, &plan, &out).unwrap();
@@ -227,7 +240,7 @@ mod tests {
         let instance = inst();
         let spec = AlgorithmSpec::algorithm2();
         let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled { coflow: 1, at: 1 }]);
-        let out = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+        let out = resilient_under_faults(&instance, &spec, &SimplexOptions::default(), &plan);
         assert_eq!(out.completions[1], None);
         assert!(out.completions[0].is_some() && out.completions[2].is_some());
         verify_faulty_outcome(&instance, &plan, &out).unwrap();
@@ -245,7 +258,7 @@ mod tests {
             FaultEvent::EgressOutage { port: 0, start: 2, end: 3 },
             FaultEvent::CoflowCancelled { coflow: 2, at: 5 },
         ]);
-        let out = run_with_faults_strict(&instance, &spec, &starved, &plan);
+        let out = resilient_under_faults(&instance, &spec, &starved, &plan);
         assert!(out.degraded(), "0-pivot budget must force the fallback tier");
         assert!(out.tiers.iter().all(|&t| t == 1));
         verify_faulty_outcome(&instance, &plan, &out).unwrap();
@@ -261,9 +274,55 @@ mod tests {
         };
         for seed in 0..20 {
             let plan = FaultPlan::generate(2, instance.len(), 12, 0.6, seed);
-            let out = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+            let out = resilient_under_faults(&instance, &spec, &SimplexOptions::default(), &plan);
             verify_faulty_outcome(&instance, &plan, &out)
                 .unwrap_or_else(|e| panic!("seed {}: {}", seed, e));
         }
+    }
+
+    #[test]
+    fn doctored_outcomes_are_rejected() {
+        let instance = inst();
+        let plan = FaultPlan::new(vec![
+            FaultEvent::IngressOutage { port: 0, start: 2, end: 5 },
+            FaultEvent::CoflowCancelled { coflow: 2, at: 3 },
+        ]);
+        let mut policy = OnlineRhoPolicy::new(&instance, OnlineOptions::default());
+        let out = run_policy_with_faults(&instance, &mut policy, &plan).unwrap();
+        verify_faulty_outcome(&instance, &plan, &out).unwrap();
+        let k = (0..instance.len())
+            .find(|&k| out.completions[k].is_some())
+            .unwrap();
+
+        let mut moved = out.clone();
+        moved.completions[k] = moved.completions[k].map(|t| t + 1000);
+        let err = verify_faulty_outcome(&instance, &plan, &moved).unwrap_err();
+        assert!(err.contains("last unit"), "{}", err);
+
+        let mut halved = out.clone();
+        halved.objective /= 2.0;
+        let err = verify_faulty_outcome(&instance, &plan, &halved).unwrap_err();
+        assert!(err.contains("objective"), "{}", err);
+
+        let mut dropped = out.clone();
+        dropped.completions[k] = None;
+        let err = verify_faulty_outcome(&instance, &plan, &dropped).unwrap_err();
+        assert!(err.contains("fully delivered"), "{}", err);
+    }
+
+    #[test]
+    fn zero_demand_coflow_completes_at_its_release() {
+        let c0 = Coflow::new(0, IntMatrix::from_nested(&[[1, 0], [0, 0]]));
+        let c1 = Coflow::new(1, IntMatrix::zeros(2)).with_release(4);
+        let instance = Instance::new(2, vec![c0, c1]);
+        let plan = FaultPlan::default();
+        let spec = AlgorithmSpec::algorithm2();
+        let out = resilient_under_faults(&instance, &spec, &SimplexOptions::default(), &plan);
+        assert_eq!(out.completions, vec![Some(1), Some(4)]);
+        verify_faulty_outcome(&instance, &plan, &out).unwrap();
+        let mut doctored = out.clone();
+        doctored.completions[1] = Some(1);
+        doctored.objective = 2.0;
+        assert!(verify_faulty_outcome(&instance, &plan, &doctored).is_err());
     }
 }

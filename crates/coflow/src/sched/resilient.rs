@@ -9,8 +9,7 @@
 //! back.
 //!
 //! The chain has two scheduling stages behind one degradation loop:
-//! [`run_resilient`] / [`run_resilient_chain`] schedule the whole instance,
-//! and [`plan_resilient`] — the replanning step of the fault-recovery loop
+//! [`run_resilient`] schedules the whole instance, and [`plan_resilient`] — the replanning step of the fault-recovery loop
 //! ([`super::recovery`]) — plans only the runs that start before a
 //! horizon, the slot where the engine will stop executing the plan. Order
 //! and grouping still cover the whole residual instance, and the planned
@@ -90,24 +89,17 @@ pub fn run_resilient(
     spec: &AlgorithmSpec,
     lp_opts: &SimplexOptions,
 ) -> ResilientOutcome {
-    match run_resilient_chain(instance, spec, &fallback_chain(spec.order), lp_opts) {
+    let scheduled = degrade(
+        instance,
+        spec,
+        &fallback_chain(spec.order),
+        lp_opts,
+        |order| run_with_order(instance, order, spec.grouping, spec.backfill),
+    );
+    match scheduled {
         Ok(outcome) => outcome,
         Err(e) => unreachable!("built-in chain ends in infallible tiers: {}", e),
     }
-}
-
-/// [`run_resilient`] with a caller-supplied chain. Returns
-/// [`SchedError::Exhausted`] if every tier fails (possible only when the
-/// chain omits the heuristic rules).
-pub fn run_resilient_chain(
-    instance: &Instance,
-    spec: &AlgorithmSpec,
-    chain: &[OrderRule],
-    lp_opts: &SimplexOptions,
-) -> Result<ResilientOutcome, SchedError> {
-    degrade(instance, spec, chain, lp_opts, |order| {
-        run_with_order(instance, order, spec.grouping, spec.backfill)
-    })
 }
 
 /// [`run_resilient`] that plans only the runs starting before `horizon`
@@ -134,7 +126,9 @@ pub fn plan_resilient(
 }
 
 /// The degradation loop: orders `instance` with the first rule of `chain`
-/// that succeeds and hands the order to `schedule`.
+/// that succeeds and hands the order to `schedule`. Returns
+/// [`SchedError::Exhausted`] if every tier fails (possible only when the
+/// chain omits the heuristic rules).
 fn degrade<O>(
     instance: &Instance,
     spec: &AlgorithmSpec,
@@ -280,18 +274,25 @@ mod tests {
         }
     }
 
+    /// [`degrade`] over a custom `chain` with a starved solver,
+    /// scheduling like [`run_resilient`].
+    fn run_starved_chain(chain: &[OrderRule]) -> Result<ResilientOutcome, SchedError> {
+        let instance = inst();
+        let spec = AlgorithmSpec::algorithm2();
+        degrade(&instance, &spec, chain, &starved(), |order| {
+            run_with_order(&instance, order, spec.grouping, spec.backfill)
+        })
+    }
+
     #[test]
     fn empty_chain_is_exhausted() {
-        let spec = AlgorithmSpec::algorithm2();
-        let err = run_resilient_chain(&inst(), &spec, &[], &starved()).unwrap_err();
+        let err = run_starved_chain(&[]).unwrap_err();
         assert!(matches!(err, SchedError::Exhausted { .. }));
     }
 
     #[test]
     fn lp_only_chain_reports_the_lp_failure() {
-        let spec = AlgorithmSpec::algorithm2();
-        let err =
-            run_resilient_chain(&inst(), &spec, &[OrderRule::LpBased], &starved()).unwrap_err();
+        let err = run_starved_chain(&[OrderRule::LpBased]).unwrap_err();
         match err {
             SchedError::Exhausted { attempts } => {
                 assert_eq!(attempts.len(), 1);

@@ -347,13 +347,11 @@ fn render_policy(out: &mut String, p: &PolicyState) {
             }
             let _ = write!(
                 out,
-                "],\"opts\":{{\"backfill\":{},\"rematch\":{},\"maxmin\":{},\"sequential\":{},\
-                 \"sharded\":{}}},\"b_idx\":{},\"current\":",
+                "],\"opts\":{{\"backfill\":{},\"rematch\":{},\"maxmin\":{}}},\"b_idx\":{},\
+                 \"current\":",
                 opts.backfill,
                 opts.rematch,
                 opts.maxmin_decomposition,
-                opts.sequential_decompose,
-                opts.sharded_decompose,
                 b_idx
             );
             match current {
@@ -470,13 +468,6 @@ fn get_usize_array(v: &JsonValue, key: &str) -> Result<Vec<usize>, SnapshotError
     Ok(get_u64_array(v, key)?.into_iter().map(|x| x as usize).collect())
 }
 
-fn get_bool_or(v: &JsonValue, key: &str, default: bool) -> Result<bool, SnapshotError> {
-    if field(v, key).is_err() {
-        return Ok(default);
-    }
-    get_bool(v, key)
-}
-
 fn get_bool(v: &JsonValue, key: &str) -> Result<bool, SnapshotError> {
     match field(v, key)? {
         JsonValue::Bool(b) => Ok(*b),
@@ -514,11 +505,11 @@ fn parse_policy(v: &JsonValue) -> Result<PolicyState, SnapshotError> {
             let opts = ExecOptions {
                 backfill: get_bool(opts_v, "backfill")?,
                 rematch: get_bool(opts_v, "rematch")?,
+                // Checkpoints written before the batch policy had one
+                // decomposition path also carry "sequential" and "sharded"
+                // keys; both selected schedule-identical paths, so they
+                // are ignored.
                 maxmin_decomposition: get_bool(opts_v, "maxmin")?,
-                sequential_decompose: get_bool(opts_v, "sequential")?,
-                // Absent in checkpoints written before the sharded variant
-                // existed; those runs used the plain path.
-                sharded_decompose: get_bool_or(opts_v, "sharded", false)?,
             };
             let b_idx = get_usize(v, "b_idx")?;
             let current = match field(v, "current")? {
@@ -730,5 +721,60 @@ mod tests {
             panic!("wrong inner kind");
         };
         assert_eq!(active, vec![4, 1, 2]);
+    }
+
+    /// A mid-run `bvn-batch` checkpoint in the format written while the
+    /// batch policy still had a parallel-precompute path: its opts carry
+    /// the retired `"sequential"` and `"sharded"` keys. Grouped H_ρ
+    /// Algorithm 2 on `legacy_instance`, two of three batches done.
+    const LEGACY_BVN_SNAPSHOT: &str = r#"{
+  "schema": "coflow-snapshot/1",
+  "replans": 1,
+  "tiers": [0],
+  "last_window": 0,
+  "decisions": 3,
+  "sim": {"m":3,"now":6,"releases":[0,2,0,4],"remaining":[[0,0,0,0,0,0,0,0,0],[0,4,0,2,0,0,0,1,3],[0,0,0,0,0,0,0,0,0],[0,0,5,3,0,0,0,3,0]],"remaining_total":[0,10,0,11],"completion":[6,null,2,null],"last_activity":[6,0,2,0],"cancelled":[false,false,false,false],"blocked_units":0,"blocked_log_dropped":0,"blocked_log":[],"executed":{"m":3,"runs":[[1,1,[[0,0,2,1],[1,2,2,1],[2,1,2,1]]],[2,1,[[1,2,2,1],[2,1,2,1]]],[3,1,[[0,0,0,1],[1,1,0,1],[2,2,0,1]]],[4,1,[[0,0,0,1],[1,1,0,1],[2,2,0,1]]],[5,1,[[1,1,0,1]]],[6,1,[[0,1,0,1],[1,2,0,1],[2,0,0,1]]]]},"plan":[]},
+  "policy": {"kind":"bvn-batch","order":[2,0,1,3],"batches":[[2],[0],[1,3]],"opts":{"backfill":false,"rematch":false,"maxmin":false,"sequential":false,"sharded":false},"b_idx":2,"current":{"augmented":[3,1,0,0,3,1,1,0,3],"slots":[[[0,1,2],3],[[1,2,0],1]],"load":4,"chunks":[],"batch_end_pos":1}}
+}"#;
+
+    fn legacy_instance() -> Instance {
+        use crate::coflow::Coflow;
+        use coflow_matching::IntMatrix;
+        let rows = |r: [[u64; 3]; 3]| IntMatrix::from_nested(&r);
+        let c0 = Coflow::new(0, rows([[2, 1, 0], [0, 3, 1], [1, 0, 2]])).with_weight(2.0);
+        let c1 = Coflow::new(1, rows([[0, 4, 0], [2, 0, 0], [0, 1, 3]])).with_release(2);
+        let c2 = Coflow::new(2, rows([[1, 0, 0], [0, 0, 2], [0, 2, 0]])).with_weight(3.0);
+        let c3 = Coflow::new(3, rows([[0, 0, 5], [3, 0, 0], [0, 3, 0]])).with_release(4);
+        Instance::new(3, vec![c0, c1, c2, c3])
+    }
+
+    #[test]
+    fn legacy_bvn_snapshot_with_retired_opts_keys_resumes_bit_identically() {
+        use crate::ordering::compute_order;
+        use crate::sched::engine::{run_policy_with_faults, Engine};
+        use coflow_netsim::FaultPlan;
+
+        let inst = legacy_instance();
+        let snapshot = EngineSnapshot::from_json(LEGACY_BVN_SNAPSHOT).unwrap();
+        let PolicyState::BvnBatch { opts, .. } = &snapshot.policy else {
+            panic!("expected a bvn-batch policy state");
+        };
+        assert_eq!(*opts, ExecOptions::default());
+        // The writer no longer emits the retired keys.
+        let rewritten = snapshot.to_json();
+        assert!(!rewritten.contains("sequential") && !rewritten.contains("sharded"));
+        let (mut engine, mut policy) = Engine::restore(&inst, snapshot).unwrap();
+        while engine.step(policy.as_mut()).unwrap() {}
+        let resumed = engine.into_outcome(policy.as_mut());
+
+        let order = compute_order(&inst, OrderRule::LoadOverWeight);
+        let batches = crate::grouping::group_by_doubling(&inst, &order).groups;
+        let mut policy = BvnBatchPolicy::new(&inst, order, batches, ExecOptions::default());
+        let reference = run_policy_with_faults(&inst, &mut policy, &FaultPlan::default()).unwrap();
+        // The completions the checkpointing build itself reached.
+        assert_eq!(resumed.completions, vec![Some(6), Some(11), Some(2), Some(15)]);
+        assert_eq!(resumed.completions, reference.completions);
+        assert_eq!(resumed.objective.to_bits(), reference.objective.to_bits());
+        assert_eq!(resumed.executed, reference.executed);
     }
 }

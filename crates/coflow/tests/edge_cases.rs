@@ -2,10 +2,11 @@
 //! empty demands, extreme weights, and pathological structures.
 
 use coflow::ordering::OrderRule;
-use coflow::sched::greedy::run_greedy;
-use coflow::sched::online::run_online;
 use coflow::sched::{run, run_with_order, AlgorithmSpec};
-use coflow::{compute_order, solve_interval_lp, verify_outcome, Coflow, Instance};
+use coflow::{
+    compute_order, run_policy, solve_interval_lp, verify_outcome, Coflow, GreedyPolicy, Instance,
+    OnlineOptions, OnlineRhoPolicy,
+};
 use coflow_matching::IntMatrix;
 
 fn all_specs() -> Vec<AlgorithmSpec> {
@@ -151,9 +152,11 @@ fn deeply_staggered_releases() {
         }
     }
     // Online and greedy agree here too.
-    let online = run_online(&inst);
+    let mut online = OnlineRhoPolicy::new(&inst, OnlineOptions::default());
+    let online = run_policy(&inst, &mut online).unwrap();
     assert_eq!(online.completions, vec![1, 101, 201, 301, 401]);
-    let greedy = run_greedy(&inst, (0..5).collect());
+    let mut greedy = GreedyPolicy::new(&inst, (0..5).collect());
+    let greedy = run_policy(&inst, &mut greedy).unwrap();
     assert_eq!(greedy.completions, online.completions);
 }
 

@@ -34,8 +34,7 @@
 
 use coflow::sched::{AlgorithmSpec, ExecOptions, ScheduleOutcome};
 use coflow::{
-    compute_order, plan_resilient, plan_with_order, run_greedy, run_greedy_with_faults,
-    run_online_opts, run_online_with_faults, run_policy, run_policy_with_faults, run_resilient,
+    compute_order, plan_resilient, plan_with_order, run_policy, run_policy_with_faults, run_resilient,
     run_with_order, run_with_order_opts, verify_faulty_outcome, Coflow, Engine, FaultyOutcome,
     GreedyPolicy, ImPurohitPolicy, Instance, OnlineOptions, OnlineRhoPolicy, OrderRule, Policy,
     PolicyRegistry, ResilientPolicy, ShafieeGhaderiPolicy,
@@ -58,9 +57,8 @@ mod legacy {
     use coflow_netsim::{Fabric, FaultPlan, FaultSim, Run, ScheduleTrace, SimError, Transfer};
 
     /// The pre-refactor `execute_batches` (sched/mod.rs), verbatim minus
-    /// obs calls and the parallel-precompute fan-out (the sequential path
-    /// is the semantic reference; parallel equality has its own test in
-    /// `parallel_decompose.rs`).
+    /// obs calls and the parallel-precompute fan-out it once had (the
+    /// in-loop decomposition, now the only path, is the semantic reference).
     pub fn execute_batches(
         instance: &Instance,
         order: Vec<usize>,
@@ -272,9 +270,10 @@ mod legacy {
         }
     }
 
-    /// The pre-refactor `run_online` (sched/online.rs), verbatim:
+    /// The pre-refactor online ρ/w loop (the former `sched/online.rs`),
+    /// verbatim:
     /// arrival-only priority re-sort.
-    pub fn run_online(instance: &Instance) -> ScheduleOutcome {
+    pub fn online_loop(instance: &Instance) -> ScheduleOutcome {
         let n = instance.len();
         let m = instance.ports();
         let mut remaining: Vec<IntMatrix> = instance.demand_matrices();
@@ -363,8 +362,8 @@ mod legacy {
         }
     }
 
-    /// The pre-refactor `run_greedy` (sched/greedy.rs), verbatim.
-    pub fn run_greedy(instance: &Instance, order: Vec<usize>) -> ScheduleOutcome {
+    /// The pre-refactor greedy loop (the former `sched/greedy.rs`), verbatim.
+    pub fn greedy_loop(instance: &Instance, order: Vec<usize>) -> ScheduleOutcome {
         let m = instance.ports();
         let mut remaining: Vec<IntMatrix> = instance.demand_matrices();
         let mut remaining_total: Vec<u64> = remaining.iter().map(IntMatrix::total).collect();
@@ -440,8 +439,9 @@ mod legacy {
         }
     }
 
-    /// The pre-refactor `run_with_faults` (sched/recovery.rs), verbatim.
-    pub fn run_with_faults(
+    /// The pre-refactor fault-recovery epoch loop (sched/recovery.rs),
+    /// verbatim.
+    pub fn fault_loop(
         instance: &Instance,
         spec: &AlgorithmSpec,
         lp_opts: &SimplexOptions,
@@ -849,7 +849,8 @@ fn cancellation_in_the_next_slot_ends_the_hold() {
     let inst = Instance::new(2, vec![x, u, s]);
     let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled { coflow: 0, at: 5 }]);
     check_greedy_family("cancel@5", &inst, Some(&plan));
-    let out = run_online_with_faults(&inst, OnlineOptions::default(), &plan).unwrap();
+    let mut online = OnlineRhoPolicy::new(&inst, OnlineOptions::default());
+    let out = run_policy_with_faults(&inst, &mut online, &plan).unwrap();
     assert_eq!(out.completions, vec![None, Some(9), Some(6)]);
 }
 
@@ -893,11 +894,6 @@ fn bvn_policy_matches_frozen_batch_loop() {
                         backfill,
                         rematch,
                         maxmin_decomposition: maxmin,
-                        // The frozen reference is single-threaded; the
-                        // parallel precompute has its own differential test
-                        // (tests/parallel_decompose.rs).
-                        sequential_decompose: true,
-                        sharded_decompose: false,
                     };
                     let new = run_with_order_opts(&inst, order.clone(), grouping, opts);
                     let batches: Vec<Vec<usize>> = if grouping {
@@ -929,8 +925,9 @@ fn online_policy_matches_frozen_loop_in_legacy_mode() {
         (25, 3, 1, 40),
     ] {
         let inst = seeded_instance(m, n, max_release, seed);
-        let new = run_online_opts(&inst, OnlineOptions::legacy());
-        let old = legacy::run_online(&inst);
+        let mut online = OnlineRhoPolicy::new(&inst, OnlineOptions::legacy());
+        let new = run_policy(&inst, &mut online).expect("online run");
+        let old = legacy::online_loop(&inst);
         assert_slot_schedules_identical(&format!("online seed {}", seed), &new, &old);
     }
 }
@@ -944,8 +941,9 @@ fn greedy_policy_matches_frozen_loop() {
         let inst = seeded_instance(m, n, max_release, seed);
         for rule in [OrderRule::Arrival, OrderRule::LoadOverWeight] {
             let order = compute_order(&inst, rule);
-            let new = run_greedy(&inst, order.clone());
-            let old = legacy::run_greedy(&inst, order);
+            let mut greedy = GreedyPolicy::new(&inst, order.clone());
+            let new = run_policy(&inst, &mut greedy).expect("greedy run");
+            let old = legacy::greedy_loop(&inst, order);
             assert_slot_schedules_identical(&format!("greedy seed {} {:?}", seed, rule), &new, &old);
         }
     }
@@ -994,7 +992,7 @@ fn check_resilient(
 ) -> FaultyOutcome {
     let mut policy = ResilientPolicy::new(*spec, lp_opts.clone());
     let new = run_stepwise(label, inst, &mut policy, plan);
-    let old = legacy::run_with_faults(inst, spec, lp_opts, plan).expect("legacy run");
+    let old = legacy::fault_loop(inst, spec, lp_opts, plan).expect("legacy run");
     assert_eq!(new.executed, old.executed, "{}: trace diverged", label);
     assert_faulty_identical(label, &new, &old);
     new
@@ -1033,7 +1031,7 @@ fn registry_resilient_entry_matches_the_frozen_loop() {
     let entry = PolicyRegistry::builtin().resolve("resilient").expect("registry entry");
     let mut policy = entry.build(&inst);
     let new = run_stepwise("registry", &inst, policy.as_mut(), &plan);
-    let old = legacy::run_with_faults(&inst, &REGISTRY_SPEC, &SimplexOptions::default(), &plan)
+    let old = legacy::fault_loop(&inst, &REGISTRY_SPEC, &SimplexOptions::default(), &plan)
         .expect("legacy run");
     assert_eq!(new.executed, old.executed, "registry: trace diverged");
     assert_faulty_identical("registry", &new, &old);
@@ -1254,14 +1252,15 @@ proptest! {
         let plan = FaultPlan::generate(inst.ports(), inst.len(), horizon, rate, seed);
         // Exercise both resort modes, deterministically split by seed.
         let opts = if seed % 2 == 0 { OnlineOptions::default() } else { OnlineOptions::legacy() };
-        let online = run_online_with_faults(&inst, opts, &plan);
+        let online =
+            run_policy_with_faults(&inst, &mut OnlineRhoPolicy::new(&inst, opts), &plan);
         prop_assert!(online.is_ok(), "online structural error: {:?}", online.err());
         let online = online.unwrap();
         let verdict = verify_faulty_outcome(&inst, &plan, &online);
         prop_assert!(verdict.is_ok(), "online: {}", verdict.err().unwrap_or_default());
 
         let order = compute_order(&inst, OrderRule::LoadOverWeight);
-        let greedy = run_greedy_with_faults(&inst, order, &plan);
+        let greedy = run_policy_with_faults(&inst, &mut GreedyPolicy::new(&inst, order), &plan);
         prop_assert!(greedy.is_ok(), "greedy structural error: {:?}", greedy.err());
         let greedy = greedy.unwrap();
         let verdict = verify_faulty_outcome(&inst, &plan, &greedy);

@@ -9,7 +9,9 @@
 //!   every grid cell of which validates against the netsim replay.
 
 use coflow::sched::AlgorithmSpec;
-use coflow::{run_resilient, run_with_faults, verify_faulty_outcome, OrderRule};
+use coflow::{
+    run_policy_with_faults, run_resilient, verify_faulty_outcome, OrderRule, ResilientPolicy,
+};
 use coflow::{Coflow, Instance};
 use coflow_lp::SimplexOptions;
 use coflow_matching::IntMatrix;
@@ -63,7 +65,8 @@ proptest! {
             grouping: true,
             backfill: true,
         };
-        let out = run_with_faults(&inst, &spec, &SimplexOptions::default(), &plan);
+        let mut policy = ResilientPolicy::new(spec, SimplexOptions::default());
+        let out = run_policy_with_faults(&inst, &mut policy, &plan);
         prop_assert!(out.is_ok(), "structural error: {}", out.err().map(|e| e.to_string()).unwrap_or_default());
         let out = out.unwrap();
         // Replays the trace slot by slot: port/link availability, matching

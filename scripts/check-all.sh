@@ -23,14 +23,18 @@ CLIPPY=fail TESTS=fail PERF=fail MEM=fail SCALE=fail TOURNAMENT=fail EXPLAIN=fai
 echo "=== clippy ==="
 sh scripts/check-clippy.sh && CLIPPY=pass
 
-# The scheduler and simulator suites are deterministic; the workspace-wide
-# suite waits on run-scoped obs metrics (a global-registry test is flaky
-# under the parallel runner). The benchmark package (perfbench/, its own
-# workspace) is built and unit-tested here too, so an engine API change
-# that breaks its build fails this gate rather than the benchmark run.
+# Every workspace target is compiled first — benches and the bench crate's
+# integration tests included, which clippy's default targets skip. The
+# scheduler, simulator and matching suites are deterministic; the
+# workspace-wide suite waits on run-scoped obs metrics (a global-registry
+# test is flaky under the parallel runner). The benchmark package
+# (perfbench/, its own workspace) is built and unit-tested here too, so an
+# engine API change that breaks its build fails this gate rather than the
+# benchmark run.
 echo ""
 echo "=== tests ==="
-cargo test --release -q -p coflow -p coflow-netsim \
+cargo build --release --offline --workspace --all-targets \
+    && cargo test --release --offline -q -p coflow -p coflow-netsim -p coflow-matching \
     && cargo test --release --offline --manifest-path perfbench/Cargo.toml \
     && TESTS=pass
 

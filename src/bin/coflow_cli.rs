@@ -49,11 +49,10 @@
 
 use coflow::analysis::analyze;
 use coflow::ordering::OrderRule;
-use coflow::sched::online::run_online_opts;
-use coflow::sched::{run_with_order_ext, ScheduleOutcome};
+use coflow::sched::{run_with_order_opts, ExecOptions, ScheduleOutcome};
 use coflow::{
-    compute_order, run_greedy, run_policy, verify_outcome, Instance, OnlineOptions,
-    PolicyRegistry, DEPRECATED_FLAG_ALIASES,
+    compute_order, run_policy, verify_outcome, GreedyPolicy, Instance, Policy, PolicyRegistry,
+    DEPRECATED_FLAG_ALIASES,
 };
 use coflow_workloads::{generate_trace, io, TraceConfig};
 use std::process::exit;
@@ -270,36 +269,34 @@ fn main() {
     if args.profile {
         obs::set_enabled(true);
     }
-    let outcome: ScheduleOutcome = match args.policy.as_deref() {
-        // No selection: the default Algorithm 2 pipeline with the
-        // order/grouping/backfill knobs.
-        None => {
-            let order = compute_order(&instance, args.order);
-            run_with_order_ext(&instance, order, args.grouping, args.backfill, args.rematch)
-        }
-        Some(name) => {
-            let registry = PolicyRegistry::builtin();
-            let entry = registry.resolve(name).unwrap_or_else(|e| {
-                eprintln!("error: {}", e);
-                exit(2)
-            });
-            match entry.name {
-                "online" => run_online_opts(&instance, OnlineOptions::default()),
-                "online-stale" => run_online_opts(&instance, OnlineOptions::legacy()),
+    // Algorithm 2 with the order/grouping/backfill/rematch knobs: the
+    // default run, and `--policy bvn-batch`.
+    let algorithm2 = || {
+        let opts = ExecOptions {
+            backfill: args.backfill,
+            rematch: args.rematch,
+            ..ExecOptions::default()
+        };
+        run_with_order_opts(&instance, compute_order(&instance, args.order), args.grouping, opts)
+    };
+    let entry = args.policy.as_deref().map(|name| {
+        PolicyRegistry::builtin().resolve(name).unwrap_or_else(|e| {
+            eprintln!("error: {}", e);
+            exit(2)
+        })
+    });
+    let outcome: ScheduleOutcome = match entry {
+        None => algorithm2(),
+        Some(entry) if entry.name == "bvn-batch" => algorithm2(),
+        Some(entry) => {
+            let mut policy: Box<dyn Policy> = match entry.name {
                 // Greedy keeps honoring --order, exactly like the old
                 // --greedy flag did (default H_LP here; the registry's
                 // engine cells pin the H_rho order).
-                "greedy" => run_greedy(&instance, compute_order(&instance, args.order)),
-                "bvn-batch" => {
-                    let order = compute_order(&instance, args.order);
-                    run_with_order_ext(
-                        &instance,
-                        order,
-                        args.grouping,
-                        args.backfill,
-                        args.rematch,
-                    )
-                }
+                "greedy" => Box::new(GreedyPolicy::new(
+                    &instance,
+                    compute_order(&instance, args.order),
+                )),
                 "resilient" => {
                     eprintln!(
                         "error: policy 'resilient' is the fault-recovery pipeline and \
@@ -309,17 +306,12 @@ fn main() {
                     );
                     exit(2)
                 }
-                // Decision-contract policies (shafiee-ghaderi, im-purohit,
-                // and future registry entries) run through the unified
-                // engine directly.
-                _ => {
-                    let mut policy = entry.build(&instance);
-                    run_policy(&instance, policy.as_mut()).unwrap_or_else(|e| {
-                        eprintln!("error: policy {}: {}", entry.name, e);
-                        exit(1)
-                    })
-                }
-            }
+                _ => entry.build(&instance),
+            };
+            run_policy(&instance, policy.as_mut()).unwrap_or_else(|e| {
+                eprintln!("error: policy {}: {}", entry.name, e);
+                exit(1)
+            })
         }
     };
     if args.profile {

@@ -5,12 +5,17 @@
 use coflow::ordering::OrderRule;
 use coflow::sched::{run, AlgorithmSpec};
 use coflow::{
-    diagnose, diagnose_faulty, run_with_faults_strict, solve_interval_lp, Detector,
-    DiagnosticsConfig, Severity,
+    diagnose, diagnose_faulty, run_policy_with_faults, solve_interval_lp, Detector,
+    DiagnosticsConfig, FaultyOutcome, Instance, ResilientPolicy, Severity,
 };
 use coflow_lp::SimplexOptions;
 use coflow_netsim::{FaultEvent, FaultPlan};
 use coflow_workloads::{generate_trace, TraceConfig};
+
+fn run_resilient_policy(instance: &Instance, spec: AlgorithmSpec, plan: &FaultPlan) -> FaultyOutcome {
+    let mut policy = ResilientPolicy::new(spec, SimplexOptions::default());
+    run_policy_with_faults(instance, &mut policy, plan).expect("resilient run under faults")
+}
 
 #[test]
 fn clean_pipeline_attributes_every_coflow_and_stays_silent() {
@@ -58,7 +63,7 @@ fn fault_blocked_run_fires_starvation() {
         start: 1,
         end: 60,
     }]);
-    let faulty = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+    let faulty = run_resilient_policy(&instance, spec, &plan);
     assert!(faulty.blocked_units > 0, "outage must strand planned units");
 
     let lp = solve_interval_lp(&instance);
@@ -96,7 +101,7 @@ fn severity_gate_filters_anomalies() {
         start: 1,
         end: 60,
     }]);
-    let faulty = run_with_faults_strict(&instance, &spec, &SimplexOptions::default(), &plan);
+    let faulty = run_resilient_policy(&instance, spec, &plan);
     let lp = solve_interval_lp(&instance);
     let cfg = DiagnosticsConfig {
         starvation_blocked_slots: 1,

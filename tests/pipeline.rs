@@ -5,11 +5,17 @@
 
 use coflow::bounds::{interval_lp_bound, release_load_bound};
 use coflow::ordering::{compute_order, OrderRule};
-use coflow::sched::greedy::run_greedy;
-use coflow::sched::{run, run_with_order, run_with_order_ext, AlgorithmSpec};
-use coflow::verify_outcome;
+use coflow::sched::{run, run_with_order, run_with_order_opts, AlgorithmSpec, ExecOptions};
+use coflow::{run_policy, verify_outcome, GreedyPolicy};
 use coflow_workloads::{
     assign_weights, filter_by_width, generate_trace, TraceConfig, WeightScheme,
+};
+
+/// Same-pair backfilling plus the work-conserving rematch extension.
+const REMATCH: ExecOptions = ExecOptions {
+    backfill: true,
+    rematch: true,
+    maxmin_decomposition: false,
 };
 
 fn trace() -> coflow::Instance {
@@ -100,10 +106,11 @@ fn lower_bounds_hold_for_every_scheduler() {
     let lp = interval_lp_bound(&inst);
     let trivial = release_load_bound(&inst);
     let order = compute_order(&inst, OrderRule::LoadOverWeight);
+    let mut greedy = GreedyPolicy::new(&inst, order.clone());
     let outcomes = vec![
         run_with_order(&inst, order.clone(), true, true).objective,
-        run_with_order_ext(&inst, order.clone(), true, true, true).objective,
-        run_greedy(&inst, order).objective,
+        run_with_order_opts(&inst, order, true, REMATCH).objective,
+        run_policy(&inst, &mut greedy).unwrap().objective,
     ];
     for obj in outcomes {
         assert!(lp <= obj + 1e-6, "LP bound {} > objective {}", lp, obj);
@@ -116,7 +123,7 @@ fn rematch_extension_improves_on_plain_grouping() {
     let inst = trace();
     let order = compute_order(&inst, OrderRule::LpBased);
     let plain = run_with_order(&inst, order.clone(), true, true);
-    let rematched = run_with_order_ext(&inst, order, true, true, true);
+    let rematched = run_with_order_opts(&inst, order, true, REMATCH);
     verify_outcome(&inst, &rematched).expect("valid");
     assert!(
         rematched.objective <= plain.objective,
