@@ -4,14 +4,14 @@
 //!   (the incremental-BvN inner loop);
 //! * full BvN decomposition at the grid's port counts m ∈ {16, 60, 150};
 //! * schedule execution, run-length vs unit-slot, on both the clean fabric
-//!   (`Fabric::apply_run` vs `SlotSim`) and the fault executor
+//!   (`FaultSim::apply_run` on the empty plan vs `SlotSim`) and under faults
 //!   (`FaultSim::execute_trace` vs `execute_trace_slotwise`).
 //!
 //! Set `CRITERION_JSON=<file>` to append one JSON line per benchmark for
 //! the perf harness.
 
 use coflow_matching::{bvn_decompose, BipartiteGraph, HopcroftKarp, IntMatrix};
-use coflow_netsim::{Fabric, FaultEvent, FaultPlan, FaultSim, Run, ScheduleTrace, SlotSim, Transfer};
+use coflow_netsim::{FaultEvent, FaultPlan, FaultSim, Run, ScheduleTrace, SlotSim, Transfer};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -129,14 +129,14 @@ fn bench_execution(c: &mut Criterion) {
     });
     group.bench_function("fabric_runlength", |b| {
         b.iter(|| {
-            let mut fabric = Fabric::new(m, demands.clone(), &releases);
+            let mut fabric = FaultSim::new(m, demands.clone(), &releases, FaultPlan::default());
             for run in &trace.runs {
                 let pairs: Vec<(usize, usize, Vec<usize>)> = run
                     .transfers
                     .iter()
                     .map(|t| (t.src, t.dst, vec![t.coflow]))
                     .collect();
-                fabric.apply_run(&pairs, run.duration);
+                fabric.apply_run(&pairs, run.duration).expect("valid matching");
             }
             black_box(fabric.now())
         })

@@ -25,12 +25,11 @@
 //! a fixed-seed configuration of both sections as a tier-1 gate.
 
 use coflow::sched::engine::{run_policy_with_faults, Engine};
-use coflow::sched::recovery::verify_faulty_outcome;
 use coflow::sched::snapshot::EngineSnapshot;
 use coflow::{
-    compute_order, group_by_doubling, AlgorithmSpec, BvnBatchPolicy, ExecOptions, FaultyOutcome,
-    GreedyPolicy, Instance, OnlineOptions, OnlineRhoPolicy, OrderRule, Policy, ResilientPolicy,
-    WatchdogConfig, WatchdogPolicy,
+    compute_order, group_by_doubling, verify_faulty_outcome, AlgorithmSpec, BvnBatchPolicy,
+    ExecOptions, FaultyOutcome, GreedyPolicy, Instance, OnlineOptions, OnlineRhoPolicy, OrderRule,
+    Policy, ResilientPolicy, WatchdogConfig, WatchdogPolicy,
 };
 use coflow_lp::SimplexOptions;
 use coflow_netsim::{AdversarialConfig, FaultPlan};
@@ -165,11 +164,12 @@ fn initial_totals(instance: &Instance) -> Vec<u64> {
 }
 
 /// Units delivered per coflow according to a snapshot's executed trace.
+/// A transfer's `units` already counts every slot it occupies.
 fn delivered_per_coflow(snapshot: &EngineSnapshot, n: usize) -> Vec<u64> {
     let mut delivered = vec![0u64; n];
     for run in &snapshot.sim.executed.runs {
         for t in &run.transfers {
-            delivered[t.coflow] += t.units * run.duration;
+            delivered[t.coflow] += t.units;
         }
     }
     delivered
@@ -712,6 +712,22 @@ mod tests {
 
     fn tiny() -> Instance {
         arrivals_instance(8, 10, 3)
+    }
+
+    #[test]
+    fn delivered_units_count_multi_slot_transfers_once() {
+        // One 3-unit flow: the greedy hold is a single 3-slot run whose
+        // transfer carries all 3 units.
+        let mut demand = coflow_matching::IntMatrix::zeros(2);
+        demand[(0, 1)] = 3;
+        let inst = Instance::new(2, vec![coflow::Coflow::new(0, demand)]);
+        let mut policy = coflow::GreedyPolicy::new(&inst, vec![0]);
+        let mut engine = Engine::new(&inst, &FaultPlan::default());
+        assert!(engine.step(&mut policy).expect("hold"));
+        let snapshot = engine.checkpoint(&policy).expect("greedy checkpoints");
+        let runs = &snapshot.sim.executed.runs;
+        assert_eq!((runs.len(), runs[0].duration, runs[0].transfers[0].units), (1, 3, 3));
+        assert_eq!(delivered_per_coflow(&snapshot, 1), vec![3]);
     }
 
     #[test]

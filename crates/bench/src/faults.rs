@@ -8,10 +8,10 @@
 //! survive (are not cancelled by) each plan, so cancellations do not
 //! masquerade as speedups.
 
-use coflow::sched::recovery::{verify_faulty_outcome, FaultyOutcome};
 use coflow::sched::resilient::{fallback_chain, run_resilient};
 use coflow::{
-    run_policy_with_faults, AlgorithmSpec, Instance, OrderRule, PolicyRegistry, ResilientPolicy,
+    run_policy_with_faults, verify_faulty_outcome, AlgorithmSpec, FaultyOutcome, Instance,
+    OrderRule, PolicyRegistry, ResilientPolicy,
 };
 use coflow_lp::SimplexOptions;
 use coflow_netsim::FaultPlan;
@@ -249,10 +249,10 @@ pub fn run_fault_policies(instance: &Instance, rates: &[f64], seed: u64) -> Poli
 /// Runs an arbitrary registry selection of fault-capable policies under the
 /// same seeded fault plans. Every plan is shared across policies at a given
 /// rate, so the rows are directly comparable; the fault-free baseline per
-/// policy is measured with a quiet (rate-0) plan through the same engine,
-/// which is bit-identical to the clean run. Unknown names and policies whose
-/// registry entry has `supports_faults == false` (the open-loop BvN batch
-/// planner would strand blocked units forever) are rejected up front. Panics
+/// policy is measured on the empty plan through the same engine. Unknown
+/// names and policies whose registry entry has `supports_faults == false`
+/// (the open-loop BvN batch planner would strand blocked units forever)
+/// are rejected up front. Panics
 /// (via [`verify_faulty_outcome`]) if any policy produces an invalid
 /// schedule — that is an engine bug, not data.
 pub fn run_fault_policies_selected(
@@ -284,9 +284,9 @@ pub fn run_fault_policies_selected(
         }
     };
 
-    // Fault-free reference per policy: a quiet plan through the same
-    // engine. The horizon argument is irrelevant at rate 0 (no events).
-    let quiet = FaultPlan::generate(instance.ports(), instance.len(), 1, 0.0, seed);
+    // Fault-free reference per policy: the empty plan through the same
+    // engine.
+    let quiet = FaultPlan::default();
     let baselines: Vec<(String, FaultyOutcome)> = entries
         .iter()
         .map(|entry| (entry.name.to_string(), run_policy(entry.name, &quiet)))

@@ -145,7 +145,6 @@ pub fn run_grid_resilient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coflow_netsim::validate_trace;
     use coflow_workloads::{generate_trace, TraceConfig};
 
     #[test]
@@ -181,13 +180,8 @@ mod tests {
                 assert_eq!(cell.tier, 0);
                 assert_eq!(cell.used, *rule);
             }
-            let times = validate_trace(
-                &inst.demand_matrices(),
-                &inst.releases(),
-                &cell.outcome.trace,
-            )
-            .unwrap_or_else(|e| panic!("cell ({:?}, {}, {}) invalid: {}", rule, g, b, e));
-            assert_eq!(times, cell.outcome.completions);
+            coflow::verify_outcome(&inst, &cell.outcome)
+                .unwrap_or_else(|e| panic!("cell ({:?}, {}, {}) invalid: {}", rule, g, b, e));
         }
     }
 

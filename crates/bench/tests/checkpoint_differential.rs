@@ -21,12 +21,11 @@
 //! committed pins doubles as a proof that the steppable engine and the
 //! clean pipeline execute identically.
 
-use coflow::sched::recovery::{verify_faulty_outcome, FaultyOutcome};
 use coflow::{
-    compute_order, group_by_doubling, run_policy, run_policy_with_faults, AlgorithmSpec,
-    BvnBatchPolicy, Engine, EngineSnapshot, ExecOptions, GreedyPolicy, ImPurohitPolicy, Instance,
-    OnlineOptions, OnlineRhoPolicy, OrderRule, Policy, ResilientPolicy, ScheduleOutcome,
-    ShafieeGhaderiPolicy,
+    compute_order, group_by_doubling, run_policy, run_policy_with_faults, verify_faulty_outcome,
+    AlgorithmSpec, BvnBatchPolicy, Engine, EngineSnapshot, ExecOptions, FaultyOutcome, GreedyPolicy,
+    ImPurohitPolicy, Instance, OnlineOptions, OnlineRhoPolicy, OrderRule, Policy, ResilientPolicy,
+    ScheduleOutcome, ShafieeGhaderiPolicy,
 };
 use coflow_bench::arrivals::arrivals_instance;
 use coflow_bench::pins::{collect_pins_on, parse_pins, pin_fault_plan_20, Pin, FAULT_RATE};

@@ -5,10 +5,10 @@
 //! recorder and the forensics pipeline, and the policy × rate report's
 //! JSON form is validated with the repo's own parser.
 
-use coflow::sched::recovery::verify_faulty_outcome;
 use coflow::{
-    compute_order, diagnose_faulty, run_policy_with_faults, solve_interval_lp, Coflow, Detector,
-    DiagnosticsConfig, GreedyPolicy, Instance, OnlineOptions, OnlineRhoPolicy, OrderRule,
+    compute_order, diagnose_faulty, run_policy_with_faults, solve_interval_lp,
+    verify_faulty_outcome, Coflow, Detector, DiagnosticsConfig, GreedyPolicy, Instance,
+    OnlineOptions, OnlineRhoPolicy, OrderRule,
 };
 use coflow_bench::arrivals::arrivals_instance;
 use coflow_bench::faults::{

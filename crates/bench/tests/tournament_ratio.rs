@@ -7,9 +7,8 @@
 //! `experiments -- tournament` re-measures them on every gate run.
 
 use coflow::bounds::interval_lp_bound;
-use coflow::{run_policy_with_faults, verify_faulty_outcome, PolicyRegistry};
+use coflow::{run_policy, verify_outcome, PolicyRegistry};
 use coflow_bench::arrivals::arrivals_instance;
-use coflow_netsim::FaultPlan;
 
 /// Every bounded canonical policy honors its registry bound; every policy
 /// (bounded or not) produces a feasible schedule at least as costly as
@@ -21,15 +20,11 @@ fn measured_ratios_stay_within_the_proven_bounds() {
         let inst = arrivals_instance(8, 12, seed);
         let lp = interval_lp_bound(&inst);
         assert!(lp > 0.0, "seed {}: LP lower bound must be positive", seed);
-        // A quiet (rate-0) plan through the fault engine is bit-identical
-        // to the clean run and accepts every policy, including the
-        // Execute-emitting resilient planner.
-        let quiet = FaultPlan::generate(inst.ports(), inst.len(), 1, 0.0, seed);
         for entry in registry.canonical() {
             let mut policy = entry.build(&inst);
-            let out = run_policy_with_faults(&inst, policy.as_mut(), &quiet)
+            let out = run_policy(&inst, policy.as_mut())
                 .unwrap_or_else(|e| panic!("seed {}: policy {}: {}", seed, entry.name, e));
-            verify_faulty_outcome(&inst, &quiet, &out)
+            verify_outcome(&inst, &out)
                 .unwrap_or_else(|e| panic!("seed {}: policy {}: {}", seed, entry.name, e));
             let ratio = out.objective / lp;
             assert!(
@@ -60,12 +55,11 @@ fn successor_policies_meet_their_paper_bounds() {
     let registry = PolicyRegistry::builtin();
     let inst = arrivals_instance(8, 12, 3);
     let lp = interval_lp_bound(&inst);
-    let quiet = FaultPlan::generate(inst.ports(), inst.len(), 1, 0.0, 3);
     for (name, bound) in [("shafiee-ghaderi", 5.0), ("im-purohit", 4.0)] {
         let entry = registry.resolve(name).expect("registry name");
         assert_eq!(entry.bound, Some(bound), "{}: registry bound drifted", name);
         let mut policy = entry.build(&inst);
-        let out = run_policy_with_faults(&inst, policy.as_mut(), &quiet).expect("clean run");
+        let out = run_policy(&inst, policy.as_mut()).expect("clean run");
         let ratio = out.objective / lp;
         assert!(
             ratio <= bound,

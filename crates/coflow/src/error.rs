@@ -20,8 +20,8 @@ pub enum SchedError {
         /// `(rule name, error)` per failed tier, in attempt order.
         attempts: Vec<(&'static str, String)>,
     },
-    /// A policy produced a decision the hosting engine cannot apply (e.g.
-    /// `Decision::Execute` outside the fault-aware engine).
+    /// A request the engine cannot honor (e.g. checkpointing a policy that
+    /// does not capture its state).
     Unsupported {
         /// What was requested and why it cannot be honored.
         what: &'static str,
@@ -42,7 +42,7 @@ impl fmt::Display for SchedError {
                 Ok(())
             }
             SchedError::Unsupported { what } => {
-                write!(f, "unsupported engine decision: {}", what)
+                write!(f, "unsupported engine request: {}", what)
             }
         }
     }

@@ -82,7 +82,7 @@ pub use crate::sched::ordered::{
 pub use crate::sched::registry::{
     PolicyCaps, PolicyEntry, PolicyRegistry, DEPRECATED_FLAG_ALIASES,
 };
-pub use crate::sched::recovery::{verify_faulty_outcome, FaultyOutcome};
+pub use crate::sched::recovery::FaultyOutcome;
 pub use crate::sched::resilient::{
     fallback_chain, plan_resilient, run_resilient, FailedAttempt, ResilientOutcome,
 };
@@ -90,7 +90,7 @@ pub use crate::sched::{
     plan_with_order, run, run_randomized, run_with_order, run_with_order_opts, AlgorithmSpec,
     ExecOptions, ScheduleOutcome,
 };
-pub use crate::verify::{verify_outcome, VerifyError, VerifyReport};
+pub use crate::verify::{verify_faulty_outcome, verify_outcome, VerifyError, VerifyReport};
 pub use crate::windowed::{
     build_interval_model_sparse, coflow_components, sparse_loads_of, sparse_naive_horizon,
     try_solve_interval_lp_windowed, try_solve_windowed_sparse, SparseCoflowLoads,

@@ -4,10 +4,10 @@
 //! executor (`execute_batches`), the online ρ/w scheduler, the priority
 //! greedy baseline, and the fault/recovery epoch loop — each re-implementing
 //! arrival admission, port-conflict matching, trace emission, and completion
-//! tracking. This module unifies them: one engine owns the clock and the
-//! executor (a clean [`Fabric`] or a fault-injecting [`FaultSim`]); a
-//! [`Policy`] owns the scheduling brain and is consulted at *decision
-//! epochs* (whenever the previous decision has been carried out).
+//! tracking. This module unifies them: one [`Engine`] owns the clock and
+//! the one executor, a [`FaultSim`] (whose empty [`FaultPlan`] is a clean
+//! fabric); a [`Policy`] owns the scheduling brain and is consulted at
+//! *decision epochs* (whenever the previous decision has been carried out).
 //!
 //! The contract is deliberately small:
 //!
@@ -15,14 +15,17 @@
 //!   snapshot (current time, the instance, live remaining demand);
 //! * the policy answers with a [`Decision`]: advance the clock, run a
 //!   matching for some slots, execute a planned trace up to the next
-//!   fault boundary (fault-aware engine only), or declare itself finished;
+//!   fault boundary, or declare itself finished;
 //! * the engine applies the decision, updates completions/trace/obs, and
 //!   asks again.
 //!
-//! Because the environment loop is shared, every policy×environment
-//! combination composes for free: the online and greedy schedulers run
-//! under fault injection (and hence under the flight recorder and the
-//! diagnostics detectors) exactly like the BvN pipeline does.
+//! [`Engine::step`] is the only loop body: [`run_policy`] steps an engine
+//! over the empty plan, `plan_policy` does the same up to a horizon, and
+//! [`run_policy_with_faults`] steps one over the caller's plan. Because the
+//! loop is shared, every policy×environment combination composes for free:
+//! the online and greedy schedulers run under fault injection (and hence
+//! under the flight recorder and the diagnostics detectors) exactly like
+//! the BvN pipeline does, and the recovery policy runs on a clean fabric.
 //!
 //! Determinism: the batch and recovery policies reproduce their legacy
 //! loops *bit-identically* (same `ScheduleTrace`, completions, objective).
@@ -40,7 +43,7 @@ use crate::error::SchedError;
 use crate::instance::Instance;
 use coflow_lp::SimplexOptions;
 use coflow_matching::{bvn_decompose, BvnDecomposition, IntMatrix, MatchingSlot, Permutation};
-use coflow_netsim::{Fabric, FaultPlan, FaultSim, ScheduleTrace, SimError};
+use coflow_netsim::{FaultPlan, FaultSim, ScheduleTrace, SimError};
 use std::fmt;
 use std::time::Instant;
 
@@ -78,14 +81,6 @@ impl From<SimError> for EngineError {
     }
 }
 
-/// The executor behind an [`EpochState`]: policies read remaining demand
-/// through this so the same policy code runs clean or under faults.
-#[derive(Clone, Copy)]
-enum ExecRef<'a> {
-    Clean(&'a Fabric),
-    Faulty(&'a FaultSim),
-}
-
 /// Read-only snapshot of execution state at a decision epoch.
 pub struct EpochState<'a> {
     /// Current time (end of the last executed slot). The next schedulable
@@ -94,7 +89,7 @@ pub struct EpochState<'a> {
     pub now: u64,
     /// The instance being scheduled (full demands, releases, weights).
     pub instance: &'a Instance,
-    exec: ExecRef<'a>,
+    sim: &'a FaultSim,
     next_boundary: Option<u64>,
     execute_until: Option<u64>,
 }
@@ -103,43 +98,26 @@ impl<'a> EpochState<'a> {
     /// Remaining demand of coflow `k` on pair `(i, j)`.
     #[inline]
     pub fn remaining(&self, k: usize, i: usize, j: usize) -> u64 {
-        match self.exec {
-            ExecRef::Clean(f) => f.remaining(k, i, j),
-            ExecRef::Faulty(s) => s.remaining(k, i, j),
-        }
+        self.sim.remaining(k, i, j)
     }
 
     /// Remaining demand matrix of coflow `k`.
     #[inline]
     pub fn remaining_matrix(&self, k: usize) -> &'a IntMatrix {
-        match self.exec {
-            ExecRef::Clean(f) => f.remaining_matrix(k),
-            ExecRef::Faulty(s) => s.remaining_matrix(k),
-        }
+        self.sim.remaining_matrix(k)
     }
 
     /// Remaining total units of coflow `k`.
     #[inline]
     pub fn remaining_total(&self, k: usize) -> u64 {
-        match self.exec {
-            ExecRef::Clean(f) => f.remaining_total(k),
-            ExecRef::Faulty(s) => s.remaining_total(k),
-        }
+        self.sim.remaining_total(k)
     }
 
-    /// True when coflow `k` has been cancelled by the fault plan (always
-    /// false in the clean engine).
+    /// True when the fault plan has cancelled coflow `k`; never on a clean
+    /// run, whose plan is empty.
     #[inline]
     pub fn is_cancelled(&self, k: usize) -> bool {
-        match self.exec {
-            ExecRef::Clean(_) => false,
-            ExecRef::Faulty(s) => s.is_cancelled(k),
-        }
-    }
-
-    /// True when the engine is executing under fault injection.
-    pub fn under_faults(&self) -> bool {
-        matches!(self.exec, ExecRef::Faulty(_))
+        self.sim.is_cancelled(k)
     }
 
     /// The first [`FaultPlan::boundaries`] slot after `now`, where the
@@ -170,7 +148,8 @@ pub enum Decision {
     /// `now + 1`. Each used port pair carries a priority-ordered candidate
     /// list; the executor serves candidates in order, exhausting each one's
     /// remaining demand on the pair (the in-group priority + backfilling
-    /// rule). Empty `pairs` idles for `duration` slots.
+    /// rule) in every slot the pair's link is open. Empty `pairs` idles for
+    /// `duration` slots.
     Run {
         /// `(ingress, egress, priority-ordered coflows)`, each port used at
         /// most once.
@@ -179,11 +158,9 @@ pub enum Decision {
         duration: u64,
     },
     /// Execute a planned schedule trace until the fault state next changes
-    /// (before [`EpochState::execute_until`]); runs starting at or after
-    /// that slot are dropped, so the plan need not reach past it. Only the
-    /// fault-aware engine accepts this (replay on a clean fabric would
-    /// bypass its completion bookkeeping); the clean engine returns
-    /// [`SchedError::Unsupported`].
+    /// (before [`EpochState::execute_until`]; on a clean fabric, to the
+    /// trace's end). Runs starting at or after that slot are dropped, so
+    /// the plan need not reach past it.
     Execute(ScheduleTrace),
     /// Nothing left to schedule; the engine stops consulting the policy.
     Finished,
@@ -245,25 +222,9 @@ struct Progress {
     completed_coflows: u64,
 }
 
-/// Progress over a clean fabric: O(n) over cached per-coflow remainders.
-fn fabric_progress(fabric: &Fabric, releases: &[u64]) -> Progress {
-    let now = fabric.now();
-    let mut p = Progress { residual_units: 0, active_coflows: 0, completed_coflows: 0 };
-    for (k, c) in fabric.completion_times().iter().enumerate() {
-        let rem = fabric.remaining_total(k);
-        p.residual_units += rem;
-        if c.is_some() {
-            p.completed_coflows += 1;
-        } else if rem > 0 && releases.get(k).copied().unwrap_or(0) <= now {
-            p.active_coflows += 1;
-        }
-    }
-    p
-}
-
-/// Progress over the fault simulator; cancelled coflows are neither active
+/// Progress over the executor, O(n); cancelled coflows are neither active
 /// nor completed and their stranded demand is excluded from the residual.
-fn sim_progress(sim: &FaultSim, releases: &[u64]) -> Progress {
+fn progress(sim: &FaultSim, releases: &[u64]) -> Progress {
     let now = sim.now();
     let mut p = Progress { residual_units: 0, active_coflows: 0, completed_coflows: 0 };
     for (k, c) in sim.completion_times().iter().enumerate() {
@@ -390,18 +351,23 @@ impl Default for HeartbeatPacer {
     }
 }
 
-/// Runs `policy` to completion on a clean fabric.
+/// Runs `policy` to completion on a clean fabric: an [`Engine`] over the
+/// empty [`FaultPlan`].
 ///
-/// Returns [`SchedError`] only when the policy itself fails or answers with
-/// a decision the clean engine cannot apply ([`Decision::Execute`]).
-/// Panics, like the legacy loops, if the policy declares itself finished
-/// while demand is undelivered — that is a policy bug, not an input error.
+/// Returns [`EngineError`] when the policy fails or the executor rejects a
+/// decision as structurally invalid (a reused port, an unreleased coflow).
+/// Panics if the policy declares itself finished while demand is
+/// undelivered — that is a policy bug, not an input error.
 pub fn run_policy<P: Policy + ?Sized>(
     instance: &Instance,
     policy: &mut P,
-) -> Result<ScheduleOutcome, SchedError> {
-    let fabric = drive(instance, policy, None)?;
-    let (trace, completions) = fabric.finish();
+) -> Result<ScheduleOutcome, EngineError> {
+    let (trace, completions, _) = run_clean(instance, policy, None)?.finish();
+    let completions: Vec<u64> = completions
+        .into_iter()
+        .enumerate()
+        .map(|(k, c)| c.unwrap_or_else(|| panic!("coflow {} unfinished", k)))
+        .collect();
     let objective = instance.objective(&completions);
     let order = policy.final_order(&completions);
     Ok(ScheduleOutcome {
@@ -422,99 +388,28 @@ pub(crate) fn plan_policy<P: Policy + ?Sized>(
     instance: &Instance,
     policy: &mut P,
     horizon: Option<u64>,
-) -> Result<ScheduleTrace, SchedError> {
-    Ok(drive(instance, policy, horizon)?.finish_partial().0)
+) -> Result<ScheduleTrace, EngineError> {
+    Ok(run_clean(instance, policy, horizon)?.finish().0)
 }
 
-/// The clean engine loop behind [`run_policy`] and [`plan_policy`]:
-/// consults `policy` until all demand is delivered, the policy finishes,
-/// or the next schedulable slot `now + 1` reaches `horizon`.
-fn drive<P: Policy + ?Sized>(
+/// Steps a clean engine until all demand is delivered, the policy
+/// finishes, or the next schedulable slot `now + 1` reaches `horizon`, and
+/// returns its executor.
+fn run_clean<P: Policy + ?Sized>(
     instance: &Instance,
     policy: &mut P,
     horizon: Option<u64>,
-) -> Result<Fabric, SchedError> {
+) -> Result<FaultSim, EngineError> {
     let _span = obs::span("sched.engine");
-    let releases = instance.releases();
-    let mut fabric = Fabric::new(instance.ports(), instance.demand_matrices(), &releases);
-    let before_horizon = |fabric: &Fabric| horizon.is_none_or(|h| fabric.now() + 1 < h);
-    let mut decisions: u64 = 0;
-    let mut last_beat = Instant::now();
-    let mut pacer = HeartbeatPacer::default();
-    while !fabric.all_done() && before_horizon(&fabric) {
-        let decision = policy.decide(&EpochState {
-            now: fabric.now(),
-            instance,
-            exec: ExecRef::Clean(&fabric),
-            next_boundary: None,
-            execute_until: None,
-        })?;
-        decisions += 1;
-        if pacer.due(decisions) && {
-            // Advance the pacer even when nobody is listening, so the
-            // cadence (and per-decision cost) stays the same whether or
-            // not telemetry is on.
-            let wanted = progress_wanted();
-            if !wanted {
-                pacer.skip(decisions);
-            }
-            wanted
-        } {
-            let beat = Instant::now();
-            let epoch_ms = beat.saturating_duration_since(last_beat).as_secs_f64() * 1e3;
-            last_beat = beat;
-            pacer.beat(decisions, epoch_ms);
-            emit_progress(
-                "engine",
-                policy.name(),
-                fabric.now(),
-                &fabric_progress(&fabric, &releases),
-                0,
-                decisions,
-                epoch_ms,
-            );
-        }
-        match decision {
-            Decision::Advance(t) => fabric.advance_to(t),
-            Decision::Run { pairs, duration } => {
-                if pairs.is_empty() {
-                    fabric.advance_to(fabric.now() + duration);
-                } else {
-                    fabric.apply_run(&pairs, duration);
-                }
-                policy.recycle(pairs);
-            }
-            Decision::Execute(_) => {
-                policy.finish();
-                obs::counter_add("coflow.engine.decisions", decisions);
-                return Err(SchedError::Unsupported {
-                    what: "Decision::Execute requires the fault-aware engine",
-                });
-            }
-            Decision::Finished => break,
-        }
-    }
-    policy.finish();
-    obs::counter_add("coflow.engine.decisions", decisions);
-    if progress_wanted() {
-        let epoch_ms =
-            Instant::now().saturating_duration_since(last_beat).as_secs_f64() * 1e3;
-        emit_progress(
-            "engine",
-            policy.name(),
-            fabric.now(),
-            &fabric_progress(&fabric, &releases),
-            0,
-            decisions,
-            epoch_ms,
-        );
-    }
+    let mut engine = Engine::clean(instance);
+    engine.run_until(policy, horizon)?;
+    engine.wind_down(policy);
     assert!(
-        fabric.all_done() || !before_horizon(&fabric),
+        engine.done() || horizon.is_some_and(|h| engine.now() + 1 >= h),
         "engine: policy '{}' finished with undelivered demand (scheduler bug)",
         policy.name()
     );
-    Ok(fabric)
+    Ok(engine.sim)
 }
 
 /// Runs `policy` to quiescence under `plan` on a fault-injecting simulator.
@@ -535,24 +430,27 @@ pub fn run_policy_with_faults<P: Policy + ?Sized>(
 ) -> Result<FaultyOutcome, EngineError> {
     let _span = obs::span("sched.engine.faulty");
     let mut engine = Engine::new(instance, plan);
-    let result = (|| -> Result<(), EngineError> {
-        while engine.step(policy)? {}
-        Ok(())
-    })();
-    if let Err(e) = result {
-        policy.finish();
-        obs::counter_add("coflow.engine.decisions", engine.decisions);
-        return Err(e);
-    }
+    engine.run_until(policy, None)?;
     Ok(engine.into_outcome(policy))
 }
 
-/// The fault-aware engine as a steppable object: the loop body of
-/// [`run_policy_with_faults`], exposed so harnesses can interleave decision
-/// epochs with [`Engine::checkpoint`] / [`Engine::restore`] (crash-safe
-/// long runs, the chaos harness, the SIGINT path). Driving [`Engine::step`]
-/// to quiescence and calling [`Engine::into_outcome`] is *bit-identical*
-/// to the one-shot entry point — same `FaultyOutcome`, same obs counters.
+/// How an engine paces its progress samples and charges planning epochs.
+#[derive(Clone, Copy)]
+enum Cadence {
+    /// A clean run ([`run_policy`]): samples on the pacer's decision-count
+    /// cadence as source `engine`, and charges no planning epochs.
+    Paced(HeartbeatPacer),
+    /// A fault run: charges planning epochs and samples at each one as
+    /// source `engine.faults`.
+    Epochs,
+}
+
+/// The engine as a steppable object: the loop body of every entry point,
+/// exposed so harnesses can interleave decision epochs with
+/// [`Engine::checkpoint`] / [`Engine::restore`] (crash-safe long runs, the
+/// chaos harness, the SIGINT path). Driving [`Engine::step`] to quiescence
+/// and calling [`Engine::into_outcome`] is *bit-identical* to
+/// [`run_policy_with_faults`] — same `FaultyOutcome`, same obs counters.
 pub struct Engine<'a> {
     instance: &'a Instance,
     sim: FaultSim,
@@ -565,18 +463,23 @@ pub struct Engine<'a> {
     /// Wall-clock of the previous progress sample. Not part of snapshots:
     /// telemetry timing restarts at restore, the schedule does not care.
     last_beat: Instant,
+    cadence: Cadence,
 }
 
 impl<'a> Engine<'a> {
     /// Builds a fresh engine over `instance` under `plan`.
     pub fn new(instance: &'a Instance, plan: &FaultPlan) -> Self {
+        Engine::build(instance, plan.clone(), Cadence::Epochs)
+    }
+
+    /// A clean engine: the empty plan, paced heartbeats, no epochs.
+    fn clean(instance: &'a Instance) -> Self {
+        Engine::build(instance, FaultPlan::default(), Cadence::Paced(HeartbeatPacer::default()))
+    }
+
+    fn build(instance: &'a Instance, plan: FaultPlan, cadence: Cadence) -> Self {
         let releases = instance.releases();
-        let sim = FaultSim::new(
-            instance.ports(),
-            instance.demand_matrices(),
-            &releases,
-            plan.clone(),
-        );
+        let sim = FaultSim::new(instance.ports(), instance.demand_matrices(), &releases, plan);
         Engine {
             instance,
             sim,
@@ -586,6 +489,7 @@ impl<'a> Engine<'a> {
             decisions: 0,
             releases,
             last_beat: Instant::now(),
+            cadence,
         }
     }
 
@@ -614,26 +518,42 @@ impl<'a> Engine<'a> {
         &self.sim
     }
 
-    /// Samples progress at a planning epoch: every replan produces one
-    /// series point per tracked metric and (when a sink is installed) one
-    /// NDJSON heartbeat — the "≥ 1 line per decision-epoch window"
-    /// guarantee of the telemetry schema.
-    fn sample_progress(&mut self, label: &str) {
+    /// Records one progress sample (when anyone listens): the bounded
+    /// per-epoch series plus one NDJSON heartbeat. A fault run samples at
+    /// every planning epoch — the "≥ 1 line per decision-epoch window"
+    /// guarantee of the telemetry schema. Returns the wall-clock since the
+    /// previous sample, or `None` when nothing was sampled.
+    fn sample_progress(&mut self, label: &str) -> Option<f64> {
         if !progress_wanted() {
-            return;
+            return None;
         }
         let beat = Instant::now();
         let epoch_ms = beat.saturating_duration_since(self.last_beat).as_secs_f64() * 1e3;
         self.last_beat = beat;
+        let (source, replans) = match self.cadence {
+            Cadence::Paced(_) => ("engine", 0),
+            Cadence::Epochs => ("engine.faults", self.replans as u64),
+        };
         emit_progress(
-            "engine.faults",
+            source,
             label,
             self.sim.now(),
-            &sim_progress(&self.sim, &self.releases),
-            self.replans as u64,
+            &progress(&self.sim, &self.releases),
+            replans,
             self.decisions,
             epoch_ms,
         );
+        Some(epoch_ms)
+    }
+
+    /// Charges a planning epoch on a fault run (a clean run has none).
+    fn charge_epoch<P: Policy + ?Sized>(&mut self, policy: &P) {
+        if let Cadence::Epochs = self.cadence {
+            self.replans += 1;
+            self.tiers.push(policy.tier());
+            obs::counter_add("coflow.recovery.epochs", 1);
+            self.sample_progress(policy.name());
+        }
     }
 
     /// Runs one decision epoch: consults the policy and applies its
@@ -657,29 +577,35 @@ impl<'a> Engine<'a> {
         let decision = policy.decide(&EpochState {
             now,
             instance: self.instance,
-            exec: ExecRef::Faulty(&self.sim),
+            sim: &self.sim,
             next_boundary,
             execute_until,
         })?;
         self.decisions += 1;
+        if let Cadence::Paced(mut pacer) = self.cadence {
+            if pacer.due(self.decisions) {
+                // Advance the pacer even when nobody is listening, so the
+                // cadence (and per-decision cost) stays the same whether
+                // or not telemetry is on.
+                match self.sample_progress(policy.name()) {
+                    Some(epoch_ms) => pacer.beat(self.decisions, epoch_ms),
+                    None => pacer.skip(self.decisions),
+                }
+                self.cadence = Cadence::Paced(pacer);
+            }
+        }
         match decision {
             Decision::Execute(trace) => {
-                self.replans += 1;
-                self.tiers.push(policy.tier());
-                obs::counter_add("coflow.recovery.epochs", 1);
-                self.sample_progress(policy.name());
+                self.charge_epoch(policy);
                 self.sim.execute_trace(&trace, execute_until)?;
             }
             Decision::Run { pairs, duration } => {
                 // One planning epoch per fault window entered.
                 if self.last_window != Some(window) {
                     self.last_window = Some(window);
-                    self.replans += 1;
-                    self.tiers.push(policy.tier());
-                    obs::counter_add("coflow.recovery.epochs", 1);
-                    self.sample_progress(policy.name());
+                    self.charge_epoch(policy);
                 }
-                step_pairs(&mut self.sim, &pairs, duration)?;
+                self.sim.apply_run(&pairs, duration)?;
                 policy.recycle(pairs);
             }
             Decision::Advance(t) => self.sim.advance_to(t),
@@ -688,13 +614,39 @@ impl<'a> Engine<'a> {
         Ok(true)
     }
 
+    /// Steps until the run is over or the next schedulable slot `now + 1`
+    /// reaches `horizon`. On an error the run is wound down first.
+    fn run_until<P: Policy + ?Sized>(
+        &mut self,
+        policy: &mut P,
+        horizon: Option<u64>,
+    ) -> Result<(), EngineError> {
+        while horizon.is_none_or(|h| self.now() + 1 < h) {
+            match self.step(policy) {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(e) => {
+                    self.wind_down(policy);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends a run, once: releases policy resources, flushes the decision
+    /// counter, and takes the final progress sample.
+    fn wind_down<P: Policy + ?Sized>(&mut self, policy: &mut P) {
+        policy.finish();
+        obs::counter_add("coflow.engine.decisions", self.decisions);
+        self.sample_progress(policy.name());
+    }
+
     /// Finalizes the run: releases policy resources, flushes the decision
     /// counter, and assembles the [`FaultyOutcome`] exactly as
     /// [`run_policy_with_faults`] does.
     pub fn into_outcome<P: Policy + ?Sized>(mut self, policy: &mut P) -> FaultyOutcome {
-        policy.finish();
-        obs::counter_add("coflow.engine.decisions", self.decisions);
-        self.sample_progress(policy.name());
+        self.wind_down(policy);
         debug_assert!(
             self.sim.all_settled(),
             "engine: policy '{}' finished with unsettled coflows",
@@ -766,32 +718,11 @@ impl<'a> Engine<'a> {
                 decisions: snapshot.decisions,
                 releases: instance.releases(),
                 last_beat: Instant::now(),
+                cadence: Cadence::Epochs,
             },
             policy,
         ))
     }
-}
-
-/// Executes a `pairs`/`duration` slot plan on the fault simulator slot by
-/// slot, re-resolving each pair's priority list against live remaining
-/// demand every slot (mirroring [`Fabric::apply_run`]'s exhaust-in-order
-/// semantics, but letting the simulator strand blocked units).
-fn step_pairs(
-    sim: &mut FaultSim,
-    pairs: &[(usize, usize, Vec<usize>)],
-    duration: u64,
-) -> Result<(), SimError> {
-    let mut moves: Vec<(usize, usize, usize)> = Vec::with_capacity(pairs.len());
-    for _ in 0..duration {
-        moves.clear();
-        for (i, j, prio) in pairs {
-            if let Some(&k) = prio.iter().find(|&&k| sim.remaining(k, *i, *j) > 0) {
-                moves.push((*i, *j, k));
-            }
-        }
-        sim.step(&moves)?;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1402,35 +1333,60 @@ mod tests {
     }
 
     #[test]
-    fn clean_engine_rejects_execute_decisions() {
-        struct Always;
-        impl Policy for Always {
+    fn clean_engine_runs_every_registry_policy() {
+        // `resilient` answers with `Decision::Execute`; on the empty plan
+        // the engine replays its whole plan, which is exactly bvn-batch's.
+        let instance = inst();
+        let mut objectives = std::collections::HashMap::new();
+        for entry in super::super::registry::PolicyRegistry::builtin().entries() {
+            let mut policy = entry.build(&instance);
+            let out = run_policy(&instance, policy.as_mut())
+                .unwrap_or_else(|e| panic!("{}: {}", entry.name, e));
+            crate::verify::verify_outcome(&instance, &out)
+                .unwrap_or_else(|e| panic!("{}: {}", entry.name, e));
+            objectives.insert(entry.name, out.objective.to_bits());
+        }
+        assert_eq!(objectives["resilient"], objectives["bvn-batch"]);
+    }
+
+    #[test]
+    fn port_reusing_policy_is_an_error_not_a_panic() {
+        struct Reuse;
+        impl Policy for Reuse {
             fn name(&self) -> &'static str {
-                "always-execute"
+                "reuse"
             }
-            fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
-                Ok(Decision::Execute(ScheduleTrace::new(
-                    state.instance.ports(),
-                )))
+            fn decide(&mut self, _: &EpochState<'_>) -> Result<Decision, SchedError> {
+                Ok(Decision::Run {
+                    pairs: vec![(0, 0, vec![0]), (0, 1, vec![0])],
+                    duration: 1,
+                })
             }
         }
-        let err = run_policy(&inst(), &mut Always).unwrap_err();
-        assert!(matches!(err, SchedError::Unsupported { .. }));
+        let err = run_policy(&inst(), &mut Reuse).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EngineError::Sim(SimError::PortMatchedTwice { slot: 1, port: 0, ingress: true })
+            ),
+            "{}",
+            err
+        );
     }
 
     #[test]
     fn epoch_state_reports_environment() {
         let instance = inst();
         struct Probe {
-            saw_faults: Option<bool>,
+            first_boundary: Option<Option<u64>>,
         }
         impl Policy for Probe {
             fn name(&self) -> &'static str {
                 "probe"
             }
             fn decide(&mut self, state: &EpochState<'_>) -> Result<Decision, SchedError> {
-                if self.saw_faults.is_none() {
-                    self.saw_faults = Some(state.under_faults());
+                if self.first_boundary.is_none() {
+                    self.first_boundary = Some(state.next_boundary());
                 }
                 // Serve one unit of the first servable pair per slot.
                 let servable = (0..state.instance.len())
@@ -1445,18 +1401,28 @@ mod tests {
                 })
             }
         }
-        let mut probe = Probe { saw_faults: None };
+        let mut probe = Probe { first_boundary: None };
         let out = run_policy(&instance, &mut probe).expect("probe policy runs clean");
-        assert_eq!(probe.saw_faults, Some(false));
+        assert_eq!(probe.first_boundary, Some(None), "a clean fabric has no boundary");
         assert!(out.completions.iter().all(|&c| c > 0));
 
-        let mut probe = Probe { saw_faults: None };
+        let mut probe = Probe { first_boundary: None };
         let fault_out =
             run_policy_with_faults(&instance, &mut probe, &FaultPlan::default())
                 .expect("probe policy runs under the (empty) fault plan");
-        assert_eq!(probe.saw_faults, Some(true));
+        assert_eq!(probe.first_boundary, Some(None));
         assert_eq!(fault_out.replans, 1, "quiet plan charges exactly one epoch");
         assert!(fault_out.completions.iter().all(Option::is_some));
+
+        let plan = FaultPlan::new(vec![coflow_netsim::FaultEvent::IngressOutage {
+            port: 1,
+            start: 4,
+            end: 5,
+        }]);
+        let mut probe = Probe { first_boundary: None };
+        let fault_out = run_policy_with_faults(&instance, &mut probe, &plan).expect("faulted run");
+        assert_eq!(probe.first_boundary, Some(Some(4)));
+        crate::verify::verify_faulty_outcome(&instance, &plan, &fault_out).unwrap();
     }
 
     #[test]

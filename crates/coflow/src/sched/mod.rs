@@ -217,19 +217,12 @@ mod tests {
     use super::*;
     use crate::coflow::Coflow;
     use coflow_matching::IntMatrix;
-    use coflow_netsim::validate_trace;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn validate(instance: &Instance, out: &ScheduleOutcome) {
-        let times = validate_trace(
-            &instance.demand_matrices(),
-            &instance.releases(),
-            &out.trace,
-        )
-        .expect("trace must satisfy problem (O) constraints");
-        assert_eq!(times, out.completions, "completion accounting mismatch");
-        assert!((instance.objective(&times) - out.objective).abs() < 1e-9);
+        crate::verify::verify_outcome(instance, out)
+            .expect("trace must satisfy problem (O) and reproduce the completions");
     }
 
     fn fig1_instance() -> Instance {

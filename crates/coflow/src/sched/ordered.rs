@@ -452,10 +452,11 @@ mod tests {
     use super::*;
     use crate::coflow::Coflow;
     use crate::sched::engine::{run_policy, run_policy_with_faults};
-    use crate::sched::recovery::{verify_faulty_outcome, FaultyOutcome};
+    use crate::sched::recovery::FaultyOutcome;
     use crate::sched::ScheduleOutcome;
+    use crate::verify::{verify_faulty_outcome, verify_outcome};
     use coflow_matching::IntMatrix;
-    use coflow_netsim::{validate_trace, FaultPlan};
+    use coflow_netsim::FaultPlan;
 
     fn clean(inst: &Instance, mut policy: impl Policy) -> ScheduleOutcome {
         run_policy(inst, &mut policy).unwrap()
@@ -474,10 +475,7 @@ mod tests {
     }
 
     fn validate(inst: &Instance, out: &ScheduleOutcome) {
-        let times =
-            validate_trace(&inst.demand_matrices(), &inst.releases(), &out.trace).unwrap();
-        assert_eq!(times, out.completions);
-        assert!((inst.objective(&times) - out.objective).abs() < 1e-9);
+        verify_outcome(inst, out).unwrap();
     }
 
     fn fig1_instance() -> Instance {

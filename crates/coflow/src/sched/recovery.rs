@@ -5,7 +5,7 @@
 //! the loop between the resilient planner
 //! ([`super::resilient`]) and the fault-injecting executor
 //! ([`coflow_netsim::FaultSim`]): a schedule is planned for the current
-//! residual demand, executed slot by slot under the [`FaultPlan`] until the
+//! residual demand, executed under the [`coflow_netsim::FaultPlan`] until the
 //! fault state changes (an outage or degradation window opens or closes, or
 //! a coflow is cancelled), and then — if any demand was stranded or the
 //! plan was invalidated — replanned from the failure slot. Because every
@@ -20,13 +20,14 @@
 //! fabric state at `t`, so the planned runs are exactly the prefix of a
 //! full-horizon plan and the executed schedule is unchanged.
 //!
-//! The epoch loop itself lives in the engine; the same loop also hosts the
+//! The epoch loop itself is the engine's one loop,
+//! [`Engine::step`](super::engine::Engine::step); it also hosts the
 //! greedy-family policies (`sched::ordered`) with uniformly populated
 //! [`FaultyOutcome::replans`]/[`FaultyOutcome::tiers`]. This module holds
-//! the outcome type and its verifier.
+//! the outcome type; [`crate::verify::verify_faulty_outcome`] checks it
+//! with the same plan-aware replay as clean outcomes.
 
-use crate::instance::Instance;
-use coflow_netsim::{BlockedSlot, FaultPlan, ScheduleTrace};
+use coflow_netsim::{BlockedSlot, ScheduleTrace};
 
 /// The result of executing an instance to quiescence under a fault plan.
 #[derive(Clone, Debug)]
@@ -34,7 +35,9 @@ pub struct FaultyOutcome {
     /// Completion slot per coflow; `None` means the coflow was cancelled
     /// before completing.
     pub completions: Vec<Option<u64>>,
-    /// The slots actually executed (1-slot runs of delivered units).
+    /// The slots actually executed: a matching held through a fault window
+    /// in which all its pairs were open is one run, as on a clean fabric;
+    /// every other slot is a 1-slot run of the units it delivered.
     pub executed: ScheduleTrace,
     /// `Σ w_k C_k` over the surviving (completed) coflows.
     pub objective: f64,
@@ -45,9 +48,9 @@ pub struct FaultyOutcome {
     /// Planned units stranded by outages or degradations.
     pub blocked_units: u64,
     /// Chronological log of individual blocked unit-slots (capped inside
-    /// [`FaultSim`]; `blocked_units` above stays exact past the cap). The
-    /// diagnostics layer joins this with the flight recorder to attribute
-    /// fault-induced delay per coflow.
+    /// [`coflow_netsim::FaultSim`]; `blocked_units` above stays exact past
+    /// the cap). The diagnostics layer joins this with the flight recorder
+    /// to attribute fault-induced delay per coflow.
     pub blocked: Vec<BlockedSlot>,
 }
 
@@ -58,131 +61,18 @@ impl FaultyOutcome {
     }
 }
 
-/// Verifies a [`FaultyOutcome`] against the instance and plan: every
-/// executed slot satisfies the `2m` matching constraints and moves only
-/// real, released, un-cancelled demand over open links; every non-cancelled
-/// coflow's demand is delivered exactly; a completed coflow's slot is that
-/// of its last delivered unit (its release date for zero demand), and a
-/// fully delivered coflow is never reported incomplete; `objective` is
-/// `Σ w_k C_k` over the completed coflows (with the tolerance of
-/// [`crate::verify::verify_outcome`]). Returns the first violation found.
-pub fn verify_faulty_outcome(
-    instance: &Instance,
-    plan: &FaultPlan,
-    out: &FaultyOutcome,
-) -> Result<(), String> {
-    let m = instance.ports();
-    let n = instance.len();
-    if out.completions.len() != n {
-        return Err(format!("{} completions for {} coflows", out.completions.len(), n));
-    }
-    let mut delivered: Vec<u64> = vec![0; n];
-    let mut last_slot: Vec<u64> = vec![0; n];
-    let mut per_pair: Vec<std::collections::HashMap<(usize, usize), u64>> =
-        vec![std::collections::HashMap::new(); n];
-    for run in &out.executed.runs {
-        let mut src_used = vec![false; m];
-        let mut dst_used = vec![false; m];
-        if run.duration != 1 {
-            return Err(format!("executed run at {} is not 1 slot", run.start));
-        }
-        let slot = run.start;
-        for t in &run.transfers {
-            if t.units != 1 {
-                return Err(format!("slot {}: multi-unit executed transfer", slot));
-            }
-            if t.coflow >= n {
-                return Err(format!("slot {}: unknown coflow {}", slot, t.coflow));
-            }
-            if src_used[t.src] || dst_used[t.dst] {
-                return Err(format!("slot {}: matching constraint violated", slot));
-            }
-            src_used[t.src] = true;
-            dst_used[t.dst] = true;
-            if !plan.pair_open(t.src, t.dst, slot) {
-                return Err(format!(
-                    "slot {}: delivered over faulted link ({}, {})",
-                    slot, t.src, t.dst
-                ));
-            }
-            if instance.coflow(t.coflow).release >= slot {
-                return Err(format!("slot {}: coflow {} before release", slot, t.coflow));
-            }
-            if let Some(at) = plan.cancellation(t.coflow) {
-                if slot >= at && out.completions[t.coflow].is_none() {
-                    return Err(format!(
-                        "slot {}: served cancelled coflow {}",
-                        slot, t.coflow
-                    ));
-                }
-            }
-            delivered[t.coflow] += 1;
-            last_slot[t.coflow] = last_slot[t.coflow].max(slot);
-            *per_pair[t.coflow].entry((t.src, t.dst)).or_insert(0) += 1;
-        }
-    }
-    for k in 0..n {
-        let c = instance.coflow(k);
-        for (&(i, j), &units) in &per_pair[k] {
-            if units > c.demand[(i, j)] {
-                return Err(format!("coflow {}: over-delivery on ({}, {})", k, i, j));
-            }
-        }
-        let fully_delivered = delivered[k] == c.total_units();
-        match out.completions[k] {
-            Some(_) if !fully_delivered => {
-                return Err(format!(
-                    "coflow {}: completed but delivered {} of {}",
-                    k,
-                    delivered[k],
-                    c.total_units()
-                ));
-            }
-            Some(at) => {
-                let expected = if delivered[k] == 0 { c.release } else { last_slot[k] };
-                if at != expected {
-                    return Err(format!(
-                        "coflow {}: completion {} but its last unit arrived at {}",
-                        k, at, expected
-                    ));
-                }
-            }
-            None if fully_delivered => {
-                return Err(format!("coflow {}: fully delivered but reported incomplete", k));
-            }
-            None => {
-                if plan.cancellation(k).is_none() {
-                    return Err(format!("coflow {}: incomplete but never cancelled", k));
-                }
-            }
-        }
-    }
-    let objective: f64 = out
-        .completions
-        .iter()
-        .zip(instance.coflows())
-        .filter_map(|(c, cf)| c.map(|t| cf.weight * t as f64))
-        .sum();
-    if (objective - out.objective).abs() > 1e-6 * (1.0 + objective.abs()) {
-        return Err(format!(
-            "objective {} but the completions give {}",
-            out.objective, objective
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coflow::Coflow;
+    use crate::instance::Instance;
+    use crate::verify::verify_faulty_outcome;
     use crate::ordering::OrderRule;
     use crate::sched::engine::{run_policy_with_faults, ResilientPolicy};
-    use crate::sched::ordered::{OnlineOptions, OnlineRhoPolicy};
     use crate::sched::AlgorithmSpec;
     use coflow_lp::SimplexOptions;
     use coflow_matching::IntMatrix;
-    use coflow_netsim::FaultEvent;
+    use coflow_netsim::{FaultEvent, FaultPlan};
 
     fn resilient_under_faults(
         instance: &Instance,
@@ -278,36 +168,6 @@ mod tests {
             verify_faulty_outcome(&instance, &plan, &out)
                 .unwrap_or_else(|e| panic!("seed {}: {}", seed, e));
         }
-    }
-
-    #[test]
-    fn doctored_outcomes_are_rejected() {
-        let instance = inst();
-        let plan = FaultPlan::new(vec![
-            FaultEvent::IngressOutage { port: 0, start: 2, end: 5 },
-            FaultEvent::CoflowCancelled { coflow: 2, at: 3 },
-        ]);
-        let mut policy = OnlineRhoPolicy::new(&instance, OnlineOptions::default());
-        let out = run_policy_with_faults(&instance, &mut policy, &plan).unwrap();
-        verify_faulty_outcome(&instance, &plan, &out).unwrap();
-        let k = (0..instance.len())
-            .find(|&k| out.completions[k].is_some())
-            .unwrap();
-
-        let mut moved = out.clone();
-        moved.completions[k] = moved.completions[k].map(|t| t + 1000);
-        let err = verify_faulty_outcome(&instance, &plan, &moved).unwrap_err();
-        assert!(err.contains("last unit"), "{}", err);
-
-        let mut halved = out.clone();
-        halved.objective /= 2.0;
-        let err = verify_faulty_outcome(&instance, &plan, &halved).unwrap_err();
-        assert!(err.contains("objective"), "{}", err);
-
-        let mut dropped = out.clone();
-        dropped.completions[k] = None;
-        let err = verify_faulty_outcome(&instance, &plan, &dropped).unwrap_err();
-        assert!(err.contains("fully delivered"), "{}", err);
     }
 
     #[test]

@@ -177,7 +177,6 @@ mod tests {
     use crate::coflow::Coflow;
     use coflow_lp::LpError;
     use coflow_matching::IntMatrix;
-    use coflow_netsim::validate_trace;
 
     fn inst() -> Instance {
         let c0 = Coflow::new(0, IntMatrix::from_nested(&[[3, 1], [0, 2]])).with_weight(2.0);
@@ -246,13 +245,8 @@ mod tests {
             "failed attempt must report its wall-clock cost"
         );
         // The degraded schedule is still a valid solution of problem (O).
-        let times = validate_trace(
-            &instance.demand_matrices(),
-            &instance.releases(),
-            &out.outcome.trace,
-        )
-        .expect("degraded schedule must validate");
-        assert_eq!(times, out.outcome.completions);
+        crate::verify::verify_outcome(&instance, &out.outcome)
+            .expect("degraded schedule must validate");
     }
 
     #[test]

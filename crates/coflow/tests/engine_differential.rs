@@ -54,7 +54,7 @@ mod legacy {
     use coflow::{run_resilient, AlgorithmSpec, Coflow, FaultyOutcome, Instance};
     use coflow_lp::SimplexOptions;
     use coflow_matching::{bvn_decompose, IntMatrix};
-    use coflow_netsim::{Fabric, FaultPlan, FaultSim, Run, ScheduleTrace, SimError, Transfer};
+    use coflow_netsim::{FaultPlan, FaultSim, Run, ScheduleTrace, SimError, Transfer};
 
     /// The pre-refactor `execute_batches` (sched/mod.rs), verbatim minus
     /// obs calls and the parallel-precompute fan-out it once had (the
@@ -75,7 +75,8 @@ mod legacy {
         let m = instance.ports();
         let demands = instance.demand_matrices();
         let releases = instance.releases();
-        let mut fabric = Fabric::new(instance.ports(), demands.clone(), &releases);
+        let mut fabric =
+            FaultSim::new(instance.ports(), demands.clone(), &releases, FaultPlan::default());
 
         let mut pos = vec![usize::MAX; n];
         for (p, &k) in order.iter().enumerate() {
@@ -254,13 +255,14 @@ mod legacy {
                 if pairs.is_empty() {
                     fabric.advance_to(now + chunk_len);
                 } else {
-                    fabric.apply_run(&pairs, chunk_len);
+                    fabric.apply_run(&pairs, chunk_len).unwrap();
                 }
             }
         }
 
-        assert!(fabric.all_done(), "legacy batch execution must deliver all demand");
-        let (trace, completions) = fabric.finish();
+        assert!(fabric.all_settled(), "legacy batch execution must deliver all demand");
+        let (trace, completions, _) = fabric.finish();
+        let completions: Vec<u64> = completions.into_iter().map(Option::unwrap).collect();
         let objective = instance.objective(&completions);
         ScheduleOutcome {
             order,

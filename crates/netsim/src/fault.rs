@@ -2,12 +2,14 @@
 //!
 //! A [`FaultPlan`] is a seedable, reproducible set of [`FaultEvent`]s —
 //! port outages over slot windows, degraded links that serve only every
-//! `stride`-th slot, and coflow cancellations. [`FaultSim`] executes a
-//! planned [`ScheduleTrace`] slot by slot against the plan: units whose
-//! port or link is down are *stranded* (left in the remaining demand for a
-//! later replan), cancelled coflows stop being served, and structural
-//! violations of the problem's constraints — which indicate a scheduler
-//! bug, not a fault — surface as [`SimError`].
+//! `stride`-th slot, and coflow cancellations; the empty plan is a clean
+//! fabric. [`FaultSim`] is the fabric's one executor: it holds matchings
+//! ([`FaultSim::apply_run`]) and replays planned [`ScheduleTrace`]s
+//! ([`FaultSim::execute_trace`]) against the plan. Units whose port or
+//! link is down are *stranded* (left in the remaining demand for a later
+//! replan), cancelled coflows stop being served, and structural violations
+//! of the problem's constraints — which indicate a scheduler bug, not a
+//! fault — surface as [`SimError`].
 
 use crate::trace::{Run, ScheduleTrace, Transfer};
 use coflow_matching::IntMatrix;
@@ -374,8 +376,48 @@ enum PairState {
     Strided(Vec<(u64, u64)>),
 }
 
-/// Slot-by-slot executor that applies a [`FaultPlan`] while replaying
-/// planned schedules, stranding blocked demand for later replans.
+impl PairState {
+    /// Classifies link `(i, j)` for the fault window that contains `slot`.
+    fn of(plan: &FaultPlan, i: usize, j: usize, slot: u64) -> PairState {
+        if !plan.ingress_up(i, slot) || !plan.egress_up(j, slot) {
+            return PairState::Closed;
+        }
+        let degs: Vec<(u64, u64)> = plan
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                FaultEvent::LinkDegraded { src, dst, start, end, stride }
+                    if src == i && dst == j && (start..=end).contains(&slot) =>
+                {
+                    Some((start, stride.max(1)))
+                }
+                _ => None,
+            })
+            .collect();
+        if degs.is_empty() {
+            PairState::Open
+        } else {
+            PairState::Strided(degs)
+        }
+    }
+
+    /// True when the link carries a unit in `slot` of its window.
+    fn open(&self, slot: u64) -> bool {
+        match self {
+            PairState::Open => true,
+            PairState::Closed => false,
+            PairState::Strided(degs) => degs
+                .iter()
+                .all(|&(start, stride)| (slot - start).is_multiple_of(stride)),
+        }
+    }
+}
+
+/// The fabric's executor: runs schedules on the `m × m` switch under a
+/// [`FaultPlan`], where the empty plan is a clean fabric. Matchings held
+/// for several slots ([`FaultSim::apply_run`]) and planned traces
+/// ([`FaultSim::execute_trace`]) both leave units whose port or link is
+/// down in the remaining demand for a later replan.
 #[derive(Clone, Debug)]
 pub struct FaultSim {
     m: usize,
@@ -385,25 +427,37 @@ pub struct FaultSim {
     completion: Vec<Option<u64>>,
     last_activity: Vec<u64>,
     cancelled: Vec<bool>,
+    /// Coflows neither complete nor cancelled, kept in sync with
+    /// `completion` and `cancelled` so [`FaultSim::all_settled`] is O(1).
+    unsettled: usize,
     now: u64,
     plan: FaultPlan,
     /// `plan.boundaries()`, computed once: every replay splits runs at
     /// these epochs and the engine derives its stop slots from them.
     boundaries: Vec<u64>,
+    /// The plan's cancellations as sorted `(slot, coflow)` pairs, and the
+    /// cursor past those already applied, so a step between cancellations
+    /// scans nothing.
+    cancellations: Vec<(u64, usize)>,
+    next_cancellation: usize,
     executed: ScheduleTrace,
     blocked_units: u64,
     blocked_log: Vec<BlockedSlot>,
     blocked_log_dropped: u64,
-    /// Scratch port-occupancy masks reused across `step` calls.
+    /// Scratch port-occupancy masks reused across calls.
     src_used: Vec<bool>,
     dst_used: Vec<bool>,
 }
 
 impl FaultSim {
-    /// Creates a fault-aware simulator over the instance data; `demands`
-    /// becomes the residual state without a copy.
+    /// Creates a simulator over the instance data; `demands` (all `m × m`)
+    /// becomes the residual state without a copy. Coflows with no demand
+    /// complete at their release date.
     pub fn new(m: usize, demands: Vec<IntMatrix>, releases: &[u64], plan: FaultPlan) -> Self {
         assert_eq!(demands.len(), releases.len());
+        for d in &demands {
+            assert_eq!(d.dim(), m, "demand matrix dimension mismatch");
+        }
         let remaining_total: Vec<u64> = demands.iter().map(IntMatrix::total).collect();
         let completion = remaining_total
             .iter()
@@ -411,7 +465,7 @@ impl FaultSim {
             .map(|(&tot, &r)| if tot == 0 { Some(r) } else { None })
             .collect();
         let n = demands.len();
-        FaultSim {
+        FaultSim::assemble(crate::snapshot::FaultSimState {
             m,
             remaining: demands,
             remaining_total,
@@ -420,14 +474,56 @@ impl FaultSim {
             last_activity: vec![0; n],
             cancelled: vec![false; n],
             now: 0,
-            boundaries: plan.boundaries(),
             plan,
             executed: ScheduleTrace::new(m),
             blocked_units: 0,
             blocked_log: Vec::new(),
             blocked_log_dropped: 0,
-            src_used: vec![false; m],
-            dst_used: vec![false; m],
+        })
+    }
+
+    /// Builds the simulator around consistent plain state, deriving the
+    /// cached fields. The cancellation cursor restarts at zero: a
+    /// cancellation already applied finds its coflow cancelled (or
+    /// complete) and is skipped again.
+    fn assemble(state: crate::snapshot::FaultSimState) -> FaultSim {
+        let n = state.releases.len();
+        let unsettled = state
+            .completion
+            .iter()
+            .zip(&state.cancelled)
+            .filter(|(c, &x)| c.is_none() && !x)
+            .count();
+        let mut cancellations: Vec<(u64, usize)> = state
+            .plan
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                FaultEvent::CoflowCancelled { coflow, at } if coflow < n => Some((at, coflow)),
+                _ => None,
+            })
+            .collect();
+        cancellations.sort_unstable();
+        FaultSim {
+            m: state.m,
+            remaining: state.remaining,
+            remaining_total: state.remaining_total,
+            releases: state.releases,
+            completion: state.completion,
+            last_activity: state.last_activity,
+            cancelled: state.cancelled,
+            unsettled,
+            now: state.now,
+            boundaries: state.plan.boundaries(),
+            plan: state.plan,
+            cancellations,
+            next_cancellation: 0,
+            executed: state.executed,
+            blocked_units: state.blocked_units,
+            blocked_log: state.blocked_log,
+            blocked_log_dropped: state.blocked_log_dropped,
+            src_used: vec![false; state.m],
+            dst_used: vec![false; state.m],
         }
     }
 
@@ -490,10 +586,7 @@ impl FaultSim {
 
     /// True when every coflow is either complete or cancelled.
     pub fn all_settled(&self) -> bool {
-        self.completion
-            .iter()
-            .zip(&self.cancelled)
-            .all(|(c, &x)| c.is_some() || x)
+        self.unsettled == 0
     }
 
     /// Advances the clock to `t ≥ now` without serving anything, applying
@@ -501,28 +594,117 @@ impl FaultSim {
     pub fn advance_to(&mut self, t: u64) {
         assert!(t >= self.now, "cannot move time backwards");
         self.now = t;
-        self.apply_cancellations();
-    }
-
-    fn apply_cancellations(&mut self) {
         self.apply_cancellations_at(self.now + 1);
     }
 
     /// Applies every cancellation effective at or before `slot` (a coflow
     /// cancelled `at` is gone from slot `at` on).
     fn apply_cancellations_at(&mut self, slot: u64) {
-        for k in 0..self.cancelled.len() {
-            if self.cancelled[k] || self.completion[k].is_some() {
-                continue;
+        while let Some(&(at, k)) = self.cancellations.get(self.next_cancellation) {
+            if at > slot {
+                break;
             }
-            if let Some(at) = self.plan.cancellation(k) {
-                if at <= slot {
-                    self.cancelled[k] = true;
-                    self.remaining_total[k] = 0;
-                    self.remaining[k] = IntMatrix::zeros(self.m);
-                }
+            self.next_cancellation += 1;
+            if !self.cancelled[k] && self.completion[k].is_none() {
+                self.cancelled[k] = true;
+                self.unsettled -= 1;
+                self.remaining_total[k] = 0;
+                self.remaining[k] = IntMatrix::zeros(self.m);
             }
         }
+    }
+
+    /// True when a cancellation effective at or before `slot` would still
+    /// cancel a live coflow. Cancellations that would be no-ops (the coflow
+    /// already completed or was cancelled) are skipped on the way, so the
+    /// answer depends only on the simulator's state, not on whether it was
+    /// restored from a snapshot.
+    fn cancellation_due(&mut self, slot: u64) -> bool {
+        while let Some(&(at, k)) = self.cancellations.get(self.next_cancellation) {
+            if at > slot {
+                return false;
+            }
+            if !self.cancelled[k] && self.completion[k].is_none() {
+                return true;
+            }
+            self.next_cancellation += 1;
+        }
+        false
+    }
+
+    /// Moves `units` of coflow `k` over `(i, j)`, the last of them in
+    /// `slot`. Pairs run in parallel, so a coflow completes at the latest
+    /// such slot over its transfers.
+    fn deliver(&mut self, slot: u64, i: usize, j: usize, k: usize, units: u64) {
+        self.remaining[k][(i, j)] -= units;
+        self.remaining_total[k] -= units;
+        self.last_activity[k] = self.last_activity[k].max(slot);
+        if self.remaining_total[k] == 0 {
+            self.completion[k] = Some(self.last_activity[k]);
+            self.unsettled -= 1;
+        }
+    }
+
+    /// Records coflow `k`'s planned unit on `(i, j)` as stranded in `slot`.
+    fn strand(&mut self, slot: u64, i: usize, j: usize, k: usize) {
+        self.blocked_units += 1;
+        if self.blocked_log.len() < MAX_BLOCKED_LOG {
+            self.blocked_log.push(BlockedSlot { slot, src: i, dst: j, coflow: k });
+        } else {
+            self.blocked_log_dropped += 1;
+        }
+    }
+
+    /// Serves slot `slot`'s planned moves `(i, j, k, link open)`: a
+    /// cancelled coflow's unit is dropped, one with no demand left is
+    /// skipped, one over a closed link is stranded, and the rest are
+    /// delivered and recorded as a 1-slot run.
+    fn serve_slot(
+        &mut self,
+        slot: u64,
+        moves: &[(usize, usize, usize, bool)],
+    ) -> Result<SlotOutcome, SimError> {
+        let mut out = SlotOutcome { slot, ..SlotOutcome::default() };
+        for &(i, j, k, open) in moves {
+            if self.cancelled[k] {
+                out.dropped.push((i, j, k));
+            } else if self.releases[k] >= slot {
+                let release = self.releases[k];
+                return Err(SimError::ReleaseViolated { slot, coflow: k, release });
+            } else if self.remaining[k][(i, j)] == 0 {
+                // already delivered by an earlier replan
+            } else if open {
+                self.deliver(slot, i, j, k, 1);
+                out.delivered.push((i, j, k));
+            } else {
+                self.strand(slot, i, j, k);
+                out.blocked.push((i, j, k));
+            }
+        }
+        obs::counter_add("netsim.fault.blocked_units", out.blocked.len() as u64);
+        obs::counter_add("netsim.fault.dropped_units", out.dropped.len() as u64);
+        self.record_slot(slot, &out.delivered);
+        self.now = slot;
+        Ok(out)
+    }
+
+    /// The last slot, at most `last`, of the fault window that contains
+    /// `slot`: the slot before the first plan boundary after it.
+    fn window_end(&self, slot: u64, last: u64) -> u64 {
+        let next = self.boundaries.partition_point(|&b| b <= slot);
+        self.boundaries.get(next).map_or(last, |&b| (b - 1).min(last))
+    }
+
+    /// Appends a 1-slot run of the units delivered in `slot`, if any.
+    fn record_slot(&mut self, slot: u64, delivered: &[(usize, usize, usize)]) {
+        if delivered.is_empty() {
+            return;
+        }
+        let transfers = delivered
+            .iter()
+            .map(|&(src, dst, coflow)| Transfer { src, dst, coflow, units: 1 })
+            .collect();
+        self.executed.push_run(Run { start: slot, duration: 1, transfers });
     }
 
     /// Executes one slot of planned unit moves under the fault plan.
@@ -533,20 +715,12 @@ impl FaultSim {
     /// an earlier replan or backfill) are skipped silently.
     pub fn step(&mut self, moves: &[(usize, usize, usize)]) -> Result<SlotOutcome, SimError> {
         let slot = self.now + 1;
-        // Cancellations effective at this slot fire before service.
-        self.apply_cancellations();
         self.src_used.fill(false);
         self.dst_used.fill(false);
-        let mut out = SlotOutcome {
-            slot,
-            ..SlotOutcome::default()
-        };
+        let mut planned = Vec::with_capacity(moves.len());
         for &(i, j, k) in moves {
-            if i >= self.m {
-                return Err(SimError::PortOutOfRange { port: i, ports: self.m });
-            }
-            if j >= self.m {
-                return Err(SimError::PortOutOfRange { port: j, ports: self.m });
+            if let Some(&port) = [i, j].iter().find(|&&p| p >= self.m) {
+                return Err(SimError::PortOutOfRange { port, ports: self.m });
             }
             if k >= self.remaining.len() {
                 return Err(SimError::UnknownCoflow { coflow: k });
@@ -559,54 +733,159 @@ impl FaultSim {
             }
             self.src_used[i] = true;
             self.dst_used[j] = true;
-            if self.cancelled[k] {
-                out.dropped.push((i, j, k));
-                continue;
+            planned.push((i, j, k, self.plan.pair_open(i, j, slot)));
+        }
+        // Cancellations effective at this slot fire before service.
+        self.apply_cancellations_at(slot);
+        self.serve_slot(slot, &planned)
+    }
+
+    /// Holds a matching for `duration` consecutive slots from `now + 1`.
+    ///
+    /// `pairs` assigns each used port pair a priority-ordered list of
+    /// coflows; the pair serves them in order, exhausting each one's
+    /// remaining demand on the pair before moving on (the paper's in-group
+    /// priority + backfilling rule). Each port may appear in at most one
+    /// pair, and a coflow is served only after its release date.
+    ///
+    /// The hold splits into fault windows at the plan's boundaries, and
+    /// each pair is classified once per window as open, closed or
+    /// stride-degraded. A window in which every pair is open is served by
+    /// run-length arithmetic and recorded as one run of the window's length
+    /// — on the empty plan, the whole hold. In any other window each slot
+    /// serves the first listed coflow with demand on each pair, strands it
+    /// when the link is down, and records a 1-slot run of what was
+    /// delivered, exactly as slot-by-slot [`FaultSim::step`]s of those
+    /// moves would. A non-empty matching counts its slots in the
+    /// `netsim.fabric.slots` obs counter.
+    pub fn apply_run(
+        &mut self,
+        pairs: &[(usize, usize, Vec<usize>)],
+        duration: u64,
+    ) -> Result<(), SimError> {
+        let first = self.now + 1;
+        self.src_used.fill(false);
+        self.dst_used.fill(false);
+        for &(i, j, _) in pairs {
+            if let Some(&port) = [i, j].iter().find(|&&p| p >= self.m) {
+                return Err(SimError::PortOutOfRange { port, ports: self.m });
             }
-            if self.releases[k] >= slot {
-                return Err(SimError::ReleaseViolated {
-                    slot,
-                    coflow: k,
-                    release: self.releases[k],
-                });
+            if self.src_used[i] {
+                return Err(SimError::PortMatchedTwice { slot: first, port: i, ingress: true });
             }
-            if self.remaining[k][(i, j)] == 0 {
-                continue; // already delivered by an earlier replan
+            if self.dst_used[j] {
+                return Err(SimError::PortMatchedTwice { slot: first, port: j, ingress: false });
             }
-            if !self.plan.pair_open(i, j, slot) {
-                self.blocked_units += 1;
-                if self.blocked_log.len() < MAX_BLOCKED_LOG {
-                    self.blocked_log.push(BlockedSlot { slot, src: i, dst: j, coflow: k });
+            self.src_used[i] = true;
+            self.dst_used[j] = true;
+        }
+        if !pairs.is_empty() {
+            obs::counter_add("netsim.fabric.slots", duration);
+        }
+        let last = self.now + duration;
+        let mut states = Vec::new();
+        let mut served = Ok(());
+        let mut w0 = first;
+        while w0 <= last && served.is_ok() {
+            let w1 = self.window_end(w0, last);
+            states.clear();
+            if !self.plan.events.is_empty() {
+                states.extend(pairs.iter().map(|&(i, j, _)| PairState::of(&self.plan, i, j, w0)));
+            }
+            // Cancellations fire only on boundaries. One due in the window's
+            // first slot fires after that slot's moves are chosen, so a
+            // cancelled coflow's unit is dropped rather than backfilled, and
+            // that slot is served slot-wise.
+            let due = self.cancellation_due(w0);
+            let rest = if due { w0 + 1 } else { w0 };
+            if due {
+                served = self.hold_slotwise(pairs, &states, w0, w0);
+            }
+            if served.is_ok() && rest <= w1 {
+                served = if states.iter().all(|s| matches!(s, PairState::Open)) {
+                    self.hold_open(pairs, rest, w1)
                 } else {
-                    self.blocked_log_dropped += 1;
+                    self.hold_slotwise(pairs, &states, rest, w1)
+                };
+            }
+            w0 = w1 + 1;
+        }
+        served?;
+        self.now = last;
+        Ok(())
+    }
+
+    /// Serves `pairs` over the all-open window `[w0, w1]` in run-length
+    /// arithmetic: each pair moves up to the window's length in units, in
+    /// priority order, and the window becomes one recorded run.
+    fn hold_open(
+        &mut self,
+        pairs: &[(usize, usize, Vec<usize>)],
+        w0: u64,
+        w1: u64,
+    ) -> Result<(), SimError> {
+        let len = w1 - w0 + 1;
+        let mut transfers = Vec::new();
+        for (i, j, prio) in pairs {
+            let (i, j) = (*i, *j);
+            let mut used: u64 = 0;
+            for &k in prio {
+                if used == len {
+                    break;
                 }
-                out.blocked.push((i, j, k));
-                continue;
+                if k >= self.remaining.len() {
+                    return Err(SimError::UnknownCoflow { coflow: k });
+                }
+                let take = self.remaining[k][(i, j)].min(len - used);
+                if take == 0 {
+                    continue;
+                }
+                if self.releases[k] >= w0 + used {
+                    return Err(SimError::ReleaseViolated {
+                        slot: w0 + used,
+                        coflow: k,
+                        release: self.releases[k],
+                    });
+                }
+                used += take;
+                self.deliver(w0 - 1 + used, i, j, k, take);
+                transfers.push(Transfer { src: i, dst: j, coflow: k, units: take });
             }
-            self.remaining[k][(i, j)] -= 1;
-            self.remaining_total[k] -= 1;
-            self.last_activity[k] = slot;
-            if self.remaining_total[k] == 0 {
-                self.completion[k] = Some(slot);
+        }
+        if !transfers.is_empty() {
+            self.executed.push_run(Run { start: w0, duration: len, transfers });
+        }
+        Ok(())
+    }
+
+    /// Serves `pairs` slot by slot over `[w0, w1]`, where `states` holds
+    /// each pair's fault state for the window. Each slot's moves — the
+    /// first listed coflow with demand on each pair — are chosen before the
+    /// slot's cancellations fire, as in [`FaultSim::step`].
+    fn hold_slotwise(
+        &mut self,
+        pairs: &[(usize, usize, Vec<usize>)],
+        states: &[PairState],
+        w0: u64,
+        w1: u64,
+    ) -> Result<(), SimError> {
+        let n = self.remaining.len();
+        let mut moves: Vec<(usize, usize, usize, bool)> = Vec::new();
+        for slot in w0..=w1 {
+            moves.clear();
+            for ((i, j, prio), state) in pairs.iter().zip(states) {
+                let live = |&&k: &&usize| k >= n || self.remaining[k][(*i, *j)] > 0;
+                if let Some(&k) = prio.iter().find(live) {
+                    if k >= n {
+                        return Err(SimError::UnknownCoflow { coflow: k });
+                    }
+                    moves.push((*i, *j, k, state.open(slot)));
+                }
             }
-            out.delivered.push((i, j, k));
+            self.apply_cancellations_at(slot);
+            self.serve_slot(slot, &moves)?;
         }
-        obs::counter_add("netsim.fault.blocked_units", out.blocked.len() as u64);
-        obs::counter_add("netsim.fault.dropped_units", out.dropped.len() as u64);
-        if !out.delivered.is_empty() {
-            let transfers = out
-                .delivered
-                .iter()
-                .map(|&(src, dst, coflow)| Transfer { src, dst, coflow, units: 1 })
-                .collect();
-            self.executed.push_run(Run {
-                start: slot,
-                duration: 1,
-                transfers,
-            });
-        }
-        self.now = slot;
-        Ok(out)
+        Ok(())
     }
 
     /// Replays `trace` from the current time, stopping before slot
@@ -618,11 +897,11 @@ impl FaultSim {
     /// plan's fault epochs ([`FaultPlan::boundaries`]), each port pair is
     /// classified once per window (open / closed / stride-degraded), and
     /// the per-slot work drops to O(active transfers) with no per-slot
-    /// allocation or fault-plan scan. The executed trace, outcomes, blocked
-    /// log, and counters are identical to slot-by-slot execution
-    /// ([`FaultSim::execute_trace_slotwise`]); runs that could trip a
-    /// structural [`SimError`] fall back to the slot-wise path so error
-    /// slots and partial state match exactly.
+    /// allocation or fault-plan scan. The executed trace (1-slot runs of
+    /// delivered units), outcomes, blocked log, and counters are identical
+    /// to slot-by-slot execution ([`FaultSim::execute_trace_slotwise`]);
+    /// runs that could trip a structural [`SimError`] fall back to the
+    /// slot-wise path so error slots and partial state match exactly.
     ///
     /// With `stop_before = Some(b)` the clock always ends at `b - 1` (or
     /// later, if it already was); with `None` it ends at the trace's
@@ -670,7 +949,7 @@ impl FaultSim {
                 return Err(SimError::TimeReversed { start: run.start, now: self.now });
             }
             let first = self.now + 1; // done prefixes of partial runs skipped
-            if force_slotwise || !self.run_fast(run, first, stop_before, &mut outcomes) {
+            if force_slotwise || !self.run_fast(run, first, stop_before, &mut outcomes)? {
                 if self.run_slotwise(run, stop_before, &mut outcomes)? {
                     break 'runs;
                 }
@@ -729,7 +1008,7 @@ impl FaultSim {
         first: u64,
         stop_before: Option<u64>,
         outcomes: &mut Vec<SlotOutcome>,
-    ) -> bool {
+    ) -> Result<bool, SimError> {
         let n = self.remaining.len();
         // Per-pair serialized transfer segments: transfer `t` on pair `p`
         // owns the contiguous within-run offsets [a, b) after the units of
@@ -738,10 +1017,10 @@ impl FaultSim {
         let mut segs: Vec<(usize, u64, u64, usize)> = Vec::new(); // (pair, a, b, coflow)
         for t in &run.transfers {
             if t.src >= self.m || t.dst >= self.m || t.coflow >= n {
-                return false; // PortOutOfRange / UnknownCoflow possible
+                return Ok(false); // PortOutOfRange / UnknownCoflow possible
             }
             if self.releases[t.coflow] >= first {
-                return false; // ReleaseViolated possible in early slots
+                return Ok(false); // ReleaseViolated possible in early slots
             }
             let p = match pairs.iter().position(|&(i, j, _)| i == t.src && j == t.dst) {
                 Some(p) => p,
@@ -760,7 +1039,7 @@ impl FaultSim {
         let mut dst_owner = vec![usize::MAX; self.m];
         for (p, &(i, j, _)) in pairs.iter().enumerate() {
             if src_owner[i] != usize::MAX || dst_owner[j] != usize::MAX {
-                return false;
+                return Ok(false);
             }
             src_owner[i] = p;
             dst_owner[j] = p;
@@ -771,119 +1050,40 @@ impl FaultSim {
             last = last.min(b - 1);
         }
         if first > last {
-            return true; // nothing left of the run before the boundary
+            return Ok(true); // nothing left of the run before the boundary
         }
 
         // Fault state is constant between consecutive plan boundaries
         // (except stride-degraded links, which are re-checked per slot), so
         // the run splits into windows at the epochs that intersect it.
-        let mut bidx = self.boundaries.partition_point(|&x| x <= first);
         let mut w0 = first;
         let mut pair_state: Vec<PairState> = Vec::with_capacity(pairs.len());
+        let mut moves: Vec<(usize, usize, usize, bool)> = Vec::new();
         while w0 <= last {
-            let w1 = if bidx < self.boundaries.len() && self.boundaries[bidx] <= last {
-                let end = self.boundaries[bidx] - 1;
-                bidx += 1;
-                end
-            } else {
-                last
-            };
+            let w1 = self.window_end(w0, last);
             // Cancellations fire on boundaries, so applying them at the
             // window start covers every slot of the window.
             self.apply_cancellations_at(w0);
             pair_state.clear();
-            for &(i, j, _) in &pairs {
-                pair_state.push(if !self.plan.ingress_up(i, w0) || !self.plan.egress_up(j, w0) {
-                    PairState::Closed
-                } else {
-                    let degs: Vec<(u64, u64)> = self
-                        .plan
-                        .events
-                        .iter()
-                        .filter_map(|e| match *e {
-                            FaultEvent::LinkDegraded { src, dst, start, end, stride }
-                                if src == i && dst == j && (start..=end).contains(&w0) =>
-                            {
-                                Some((start, stride.max(1)))
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    if degs.is_empty() {
-                        PairState::Open
-                    } else {
-                        PairState::Strided(degs)
-                    }
-                });
-            }
+            pair_state.extend(pairs.iter().map(|&(i, j, _)| PairState::of(&self.plan, i, j, w0)));
             // Only segments whose offsets intersect the window matter; they
             // keep the listed transfer order, so each slot's moves come out
             // exactly as `Run::slot_moves` lists them.
             let lo = w0 - run.start;
             let hi = w1 - run.start;
-            let active: Vec<(usize, usize, usize, usize, u64, u64)> = segs
-                .iter()
-                .filter(|&&(_, a, b, _)| a <= hi && b > lo)
-                .map(|&(p, a, b, k)| {
-                    let (i, j, _) = pairs[p];
-                    (p, i, j, k, a, b)
-                })
-                .collect();
+            let active: Vec<&(usize, u64, u64, usize)> =
+                segs.iter().filter(|&&(_, a, b, _)| a <= hi && b > lo).collect();
             for slot in w0..=w1 {
                 let o = slot - run.start;
-                let mut out = SlotOutcome { slot, ..SlotOutcome::default() };
-                for &(p, i, j, k, a, b) in &active {
-                    if o < a || o >= b {
-                        continue;
-                    }
-                    if self.cancelled[k] {
-                        out.dropped.push((i, j, k));
-                        continue;
-                    }
-                    if self.remaining[k][(i, j)] == 0 {
-                        continue; // already delivered by an earlier replan
-                    }
-                    let open = match &pair_state[p] {
-                        PairState::Open => true,
-                        PairState::Closed => false,
-                        PairState::Strided(degs) => degs
-                            .iter()
-                            .all(|&(start, stride)| (slot - start).is_multiple_of(stride)),
-                    };
-                    if !open {
-                        self.blocked_units += 1;
-                        if self.blocked_log.len() < MAX_BLOCKED_LOG {
-                            self.blocked_log.push(BlockedSlot { slot, src: i, dst: j, coflow: k });
-                        } else {
-                            self.blocked_log_dropped += 1;
-                        }
-                        out.blocked.push((i, j, k));
-                        continue;
-                    }
-                    self.remaining[k][(i, j)] -= 1;
-                    self.remaining_total[k] -= 1;
-                    self.last_activity[k] = slot;
-                    if self.remaining_total[k] == 0 {
-                        self.completion[k] = Some(slot);
-                    }
-                    out.delivered.push((i, j, k));
-                }
-                obs::counter_add("netsim.fault.blocked_units", out.blocked.len() as u64);
-                obs::counter_add("netsim.fault.dropped_units", out.dropped.len() as u64);
-                if !out.delivered.is_empty() {
-                    let transfers = out
-                        .delivered
-                        .iter()
-                        .map(|&(src, dst, coflow)| Transfer { src, dst, coflow, units: 1 })
-                        .collect();
-                    self.executed.push_run(Run { start: slot, duration: 1, transfers });
-                }
-                self.now = slot;
-                outcomes.push(out);
+                moves.clear();
+                moves.extend(active.iter().filter(|&&&(_, a, b, _)| a <= o && o < b).map(
+                    |&&(p, _, _, k)| (pairs[p].0, pairs[p].1, k, pair_state[p].open(slot)),
+                ));
+                outcomes.push(self.serve_slot(slot, &moves)?);
             }
             w0 = w1 + 1;
         }
-        true
+        Ok(true)
     }
 
     /// Captures the complete simulator state as plain data (see
@@ -929,29 +1129,14 @@ impl FaultSim {
         if state.executed.m != state.m {
             return bad("executed trace fabric width disagrees with 'm'");
         }
-        Ok(FaultSim {
-            m: state.m,
-            remaining: state.remaining,
-            remaining_total: state.remaining_total,
-            releases: state.releases,
-            completion: state.completion,
-            last_activity: state.last_activity,
-            cancelled: state.cancelled,
-            now: state.now,
-            boundaries: state.plan.boundaries(),
-            plan: state.plan,
-            executed: state.executed,
-            blocked_units: state.blocked_units,
-            blocked_log: state.blocked_log,
-            blocked_log_dropped: state.blocked_log_dropped,
-            src_used: vec![false; state.m],
-            dst_used: vec![false; state.m],
-        })
+        Ok(FaultSim::assemble(state))
     }
 
-    /// Finishes execution, returning the executed trace (1-slot runs of
-    /// delivered units), completion slots (`None` = cancelled before
-    /// completion), and the count of fault-stranded planned units.
+    /// Finishes execution, returning the executed trace, completion slots
+    /// (`None` = unfinished, or cancelled before completion), and the count
+    /// of fault-stranded planned units. The trace holds the runs of
+    /// [`FaultSim::apply_run`] windows in which every pair was open, and
+    /// 1-slot runs of the units delivered in every other slot.
     pub fn finish(self) -> (ScheduleTrace, Vec<Option<u64>>, u64) {
         (self.executed, self.completion, self.blocked_units)
     }
@@ -965,6 +1150,194 @@ mod tests {
         let mut d = IntMatrix::zeros(2);
         d[(0, 1)] = units;
         d
+    }
+
+    /// A simulator on the empty plan: a clean fabric.
+    fn clean(m: usize, demands: Vec<IntMatrix>, releases: &[u64]) -> FaultSim {
+        FaultSim::new(m, demands, releases, FaultPlan::default())
+    }
+
+    #[test]
+    fn fig1_completes_in_three_slots() {
+        // Matchings from the paper: identity, then anti-diagonal twice.
+        let fig1 = vec![IntMatrix::from_nested(&[[1, 2], [2, 1]])];
+        let mut f = clean(2, fig1, &[0]);
+        f.apply_run(&[(0, 0, vec![0]), (1, 1, vec![0])], 1).unwrap();
+        f.apply_run(&[(0, 1, vec![0]), (1, 0, vec![0])], 2).unwrap();
+        assert!(f.all_settled());
+        let (trace, times, _) = f.finish();
+        assert_eq!(times, vec![Some(3)]);
+        assert_eq!(trace.makespan(), 3);
+        assert_eq!(trace.total_units(), 6);
+        assert_eq!(trace.runs.len(), 2, "one record per held matching");
+    }
+
+    #[test]
+    fn completion_at_exact_offset_within_run() {
+        // One pair, demand 2, run of 5 slots: completes at slot 2.
+        let mut f = clean(2, vec![demand(2)], &[0]);
+        f.apply_run(&[(0, 1, vec![0])], 5).unwrap();
+        assert_eq!(f.completion_times(), &[Some(2)]);
+        assert_eq!(f.now(), 5);
+    }
+
+    #[test]
+    fn backfill_order_determines_completions() {
+        // Two coflows share pair (0,1): priority [0, 1], demands 3 and 2.
+        let mut f = clean(2, vec![demand(3), demand(2)], &[0, 0]);
+        f.apply_run(&[(0, 1, vec![0, 1])], 10).unwrap();
+        assert_eq!(f.completion_times(), &[Some(3), Some(5)]);
+    }
+
+    #[test]
+    fn zero_demand_coflow_completes_at_release() {
+        let f = clean(2, vec![IntMatrix::zeros(2)], &[7]);
+        assert_eq!(f.completion_times(), &[Some(7)]);
+        assert!(f.all_settled());
+    }
+
+    #[test]
+    fn advance_to_models_idle_waiting() {
+        let mut d = IntMatrix::zeros(2);
+        d[(1, 0)] = 1;
+        let mut f = clean(2, vec![d], &[4]);
+        f.advance_to(4);
+        f.apply_run(&[(1, 0, vec![0])], 1).unwrap();
+        assert_eq!(f.completion_times(), &[Some(5)]);
+    }
+
+    #[test]
+    fn release_dates_enforced() {
+        let mut d = IntMatrix::zeros(2);
+        d[(0, 0)] = 1;
+        let mut f = clean(2, vec![d], &[3]);
+        assert_eq!(
+            f.apply_run(&[(0, 0, vec![0])], 1).unwrap_err(),
+            SimError::ReleaseViolated { slot: 1, coflow: 0, release: 3 }
+        );
+    }
+
+    #[test]
+    fn duplicate_src_rejected() {
+        let mut d = IntMatrix::zeros(2);
+        d[(0, 0)] = 1;
+        d[(0, 1)] = 1;
+        let mut f = clean(2, vec![d], &[0]);
+        assert_eq!(
+            f.apply_run(&[(0, 0, vec![0]), (0, 1, vec![0])], 1).unwrap_err(),
+            SimError::PortMatchedTwice { slot: 1, port: 0, ingress: true }
+        );
+    }
+
+    #[test]
+    fn unknown_coflow_in_a_hold_is_an_error() {
+        let mut f = clean(2, vec![demand(1)], &[0]);
+        assert_eq!(
+            f.apply_run(&[(0, 1, vec![5])], 1).unwrap_err(),
+            SimError::UnknownCoflow { coflow: 5 }
+        );
+    }
+
+    #[test]
+    fn slot_sim_matches_run_length_hold_on_shared_pair() {
+        let demands = [demand(2), demand(1)];
+        let mut f = clean(2, demands.to_vec(), &[0, 0]);
+        f.apply_run(&[(0, 1, vec![0, 1])], 3).unwrap();
+
+        let mut s = crate::SlotSim::new(2, &demands, &[0, 0]);
+        s.step(&[(0, 1, 0)]);
+        s.step(&[(0, 1, 0)]);
+        s.step(&[(0, 1, 1)]);
+
+        assert_eq!(f.completion_times(), s.completion_times());
+    }
+
+    #[test]
+    fn budget_caps_transfers() {
+        let mut f = clean(2, vec![demand(10)], &[0]);
+        f.apply_run(&[(0, 1, vec![0])], 4).unwrap();
+        assert_eq!(f.remaining(0, 0, 1), 6);
+        assert!(!f.all_settled());
+        let (_, c, _) = f.finish();
+        assert_eq!(c, vec![None]);
+    }
+
+    #[test]
+    fn held_matching_strands_only_closed_slots() {
+        // Ingress 0 is down for slots 2..=3 of a 5-slot hold: slots 1, 4
+        // and 5 deliver, each as a 1-slot run; the open tail window after
+        // the outage is a run of its own.
+        let plan = FaultPlan::new(vec![FaultEvent::IngressOutage { port: 0, start: 2, end: 3 }]);
+        let mut sim = FaultSim::new(2, vec![demand(3)], &[0], plan);
+        sim.apply_run(&[(0, 1, vec![0])], 5).unwrap();
+        assert_eq!(sim.completion_times(), &[Some(5)]);
+        assert_eq!(sim.blocked_units(), 2);
+        assert_eq!(
+            sim.blocked_log().iter().map(|b| b.slot).collect::<Vec<_>>(),
+            vec![2, 3]
+        );
+        let (trace, _, _) = sim.finish();
+        let runs: Vec<(u64, u64)> = trace.runs.iter().map(|r| (r.start, r.duration)).collect();
+        assert_eq!(runs, vec![(1, 1), (4, 2)]);
+    }
+
+    #[test]
+    fn degraded_hold_matches_stepping_the_same_moves() {
+        let plan = FaultPlan::new(vec![FaultEvent::LinkDegraded {
+            src: 0,
+            dst: 1,
+            start: 1,
+            end: 6,
+            stride: 2,
+        }]);
+        let mut held = FaultSim::new(2, vec![demand(4)], &[0], plan.clone());
+        held.apply_run(&[(0, 1, vec![0])], 6).unwrap();
+        let mut stepped = FaultSim::new(2, vec![demand(4)], &[0], plan);
+        for _ in 0..6 {
+            stepped.step(&[(0, 1, 0)]).unwrap();
+        }
+        assert_eq!(held.completion_times(), stepped.completion_times());
+        assert_eq!(held.blocked_log(), stepped.blocked_log());
+        assert_eq!(held.finish(), stepped.finish());
+    }
+
+    #[test]
+    fn settles_through_cancellations_in_slot_order() {
+        // Cancellations listed out of order still fire by slot, once each.
+        let plan = FaultPlan::new(vec![
+            FaultEvent::CoflowCancelled { coflow: 1, at: 9 },
+            FaultEvent::CoflowCancelled { coflow: 0, at: 4 },
+            FaultEvent::CoflowCancelled { coflow: 0, at: 2 },
+            FaultEvent::CoflowCancelled { coflow: 7, at: 1 },
+        ]);
+        let mut sim = FaultSim::new(2, vec![demand(5), demand(5)], &[0, 0], plan);
+        sim.advance_to(1);
+        assert!(sim.is_cancelled(0), "the earliest cancellation wins");
+        assert!(!sim.is_cancelled(1));
+        assert!(!sim.all_settled());
+        let restored = FaultSim::from_state(sim.capture()).unwrap();
+        for mut s in [sim, restored] {
+            s.advance_to(8);
+            assert!(s.is_cancelled(1));
+            assert!(s.all_settled());
+        }
+    }
+
+    #[test]
+    fn restored_simulator_records_holds_like_the_original() {
+        // A cancellation applied before the snapshot must not make the
+        // restored simulator serve its next hold slot-wise.
+        let plan = FaultPlan::new(vec![FaultEvent::CoflowCancelled { coflow: 1, at: 2 }]);
+        let mut sim = FaultSim::new(2, vec![demand(6), demand(6)], &[0, 0], plan);
+        sim.apply_run(&[(0, 1, vec![0])], 3).unwrap();
+        let mut restored = FaultSim::from_state(sim.capture()).unwrap();
+        for s in [&mut sim, &mut restored] {
+            s.apply_run(&[(0, 1, vec![0])], 3).unwrap();
+        }
+        let (trace, ..) = restored.finish();
+        assert_eq!(trace, sim.finish().0);
+        let last = trace.runs.last().map(|r| (r.start, r.duration));
+        assert_eq!(last, Some((4, 3)), "the second hold is one run");
     }
 
     #[test]

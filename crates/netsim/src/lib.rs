@@ -5,12 +5,15 @@
 //! instantaneous internal transfer. A feasible per-slot schedule is a
 //! *matching* between ingresses and egresses.
 //!
-//! * [`Fabric`] executes run-length schedules (a matching held for `q`
-//!   slots, each pair serving a priority list of coflows — the vehicle for
-//!   grouping and backfilling) and records exact completion slots;
+//! * [`FaultSim`] is the one executor: it holds a matching for `q` slots
+//!   (each pair serving a priority list of coflows — the vehicle for
+//!   grouping and backfilling) or replays a planned trace, under a
+//!   [`FaultPlan`] of outages, degraded links and cancellations, and
+//!   records exact completion slots. The empty plan is a clean fabric;
 //! * [`SlotSim`] is a literal slot-by-slot executor for cross-checks;
 //! * [`validate_trace`] replays a recorded [`ScheduleTrace`] against the
-//!   original instance and re-derives completion times independently;
+//!   original instance and the plan and re-derives completion times
+//!   independently;
 //! * [`trace_stats`] measures idle capacity, the quantity backfilling
 //!   reclaims;
 //! * [`record_flights`] derives the bounded per-coflow flight-recorder
@@ -23,16 +26,16 @@
 // Library code must justify every panic: unwraps/expects surface as clippy
 // warnings (tests and benches are exempt via the cfg gate).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
-pub mod fabric;
 pub mod fault;
 pub mod recorder;
 pub mod render;
+pub mod slot_sim;
 pub mod snapshot;
 pub mod stats;
 pub mod trace;
 pub mod validate;
 
-pub use fabric::{Fabric, SlotSim};
+pub use slot_sim::SlotSim;
 pub use fault::{
     AdversarialConfig, BlockedSlot, FaultEvent, FaultPlan, FaultSim, SimError, SlotOutcome,
 };

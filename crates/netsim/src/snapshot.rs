@@ -63,7 +63,7 @@ pub struct FaultSimState {
     pub now: u64,
     /// The static fault plan being applied.
     pub plan: FaultPlan,
-    /// Delivered units so far, as 1-slot runs.
+    /// The executed trace so far (see [`crate::FaultSim::finish`]).
     pub executed: ScheduleTrace,
     /// Planned units stranded by faults so far.
     pub blocked_units: u64,

@@ -1,11 +1,12 @@
-//! Property-based tests tying the run-length executor, the slot-level
-//! executor, and the independent validator together: on random instances
-//! and random (feasible) schedules all three must agree exactly.
+//! Property-based tests tying the run-length executor (`FaultSim` on the
+//! empty plan), the slot-level executor, and the independent validator
+//! together: on random instances and random (feasible) schedules all three
+//! must agree exactly.
 
 #![allow(clippy::needless_range_loop)]
 
 use coflow_matching::IntMatrix;
-use coflow_netsim::{trace_stats, validate_trace, Fabric, SlotSim};
+use coflow_netsim::{trace_stats, validate_trace, FaultPlan, FaultSim, SlotSim};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,7 +24,7 @@ fn instance_strategy() -> impl Strategy<Value = (usize, Vec<IntMatrix>, Vec<u64>
     })
 }
 
-/// Drives a Fabric to completion with randomly chosen runs, serving pairs
+/// Drives a clean fabric to completion with randomly chosen runs, serving pairs
 /// with priority lists in random order. Returns the completion times.
 fn random_execution(
     m: usize,
@@ -32,9 +33,9 @@ fn random_execution(
     seed: u64,
 ) -> (coflow_netsim::ScheduleTrace, Vec<u64>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut fabric = Fabric::new(m, demands.to_vec(), releases);
+    let mut fabric = FaultSim::new(m, demands.to_vec(), releases, FaultPlan::default());
     let mut guard = 0;
-    while !fabric.all_done() {
+    while !fabric.all_settled() {
         guard += 1;
         assert!(guard < 10_000, "random execution failed to converge");
         let now = fabric.now();
@@ -80,21 +81,23 @@ fn random_execution(
             continue;
         }
         let duration = rng.gen_range(1..=3);
-        fabric.apply_run(&pairs, duration);
+        fabric.apply_run(&pairs, duration).expect("random matching is valid");
     }
-    fabric.finish()
+    let (trace, times, _) = fabric.finish();
+    (trace, times.into_iter().map(|c| c.expect("settled clean run")).collect())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Whatever the Fabric reports, the independent validator reproduces.
+    /// Whatever the executor reports, the independent validator reproduces.
     #[test]
-    fn fabric_and_validator_agree((m, demands, releases, seed) in instance_strategy()) {
+    fn executor_and_validator_agree((m, demands, releases, seed) in instance_strategy()) {
         let (trace, times) = random_execution(m, &demands, &releases, seed);
-        let validated = validate_trace(&demands, &releases, &trace);
+        let validated = validate_trace(&demands, &releases, &FaultPlan::default(), &trace);
         prop_assert!(validated.is_ok(), "{:?}", validated);
-        prop_assert_eq!(validated.unwrap(), times.clone());
+        let expected: Vec<Option<u64>> = times.iter().copied().map(Some).collect();
+        prop_assert_eq!(validated.unwrap(), expected);
         // Conservation: the trace moves exactly the demanded units.
         let total: u64 = demands.iter().map(IntMatrix::total).sum();
         prop_assert_eq!(trace_stats(&trace).total_units, total);
@@ -106,7 +109,7 @@ proptest! {
 
     /// Replaying a run-length trace slot by slot gives identical times.
     #[test]
-    fn slot_sim_agrees_with_fabric((m, demands, releases, seed) in instance_strategy()) {
+    fn slot_sim_agrees_with_executor((m, demands, releases, seed) in instance_strategy()) {
         let (trace, times) = random_execution(m, &demands, &releases, seed);
         let mut sim = SlotSim::new(m, &demands, &releases);
         for run in &trace.runs {

@@ -10,12 +10,16 @@
 //!   multi-epoch resumption;
 //! * [`ScheduleTrace::for_each_slot`] (reused-buffer expansion) against
 //!   [`Run::slot_moves`] (allocating reference);
-//! * [`Fabric::apply_run`] (run-length clean path) against [`SlotSim`]
-//!   replaying the recorded trace slot by slot.
+//! * [`FaultSim::apply_run`] on the empty plan (the clean run-length path)
+//!   against [`SlotSim`] replaying the recorded trace slot by slot;
+//! * [`FaultSim::apply_run`] under arbitrary fault plans against
+//!   [`FaultSim::step`]s of the moves it stands for — each slot, the first
+//!   listed coflow with demand on each pair: identical completions, blocked
+//!   log, remaining state and slot-expanded executed trace.
 
 use coflow_matching::IntMatrix;
 use coflow_netsim::{
-    trace_stats, Fabric, FaultPlan, FaultSim, Run, ScheduleTrace, SlotSim, Transfer,
+    trace_stats, validate_trace, FaultPlan, FaultSim, Run, ScheduleTrace, SlotSim, Transfer,
 };
 use proptest::prelude::*;
 
@@ -213,10 +217,10 @@ proptest! {
         prop_assert_eq!(seen, expected);
     }
 
-    /// Clean-path equivalence: completion times from the run-length
-    /// `Fabric` agree with a literal `SlotSim` replay of its own trace.
+    /// Clean-path equivalence: completion times from run-length holds on
+    /// the empty plan agree with a literal `SlotSim` replay of its trace.
     #[test]
-    fn fabric_runs_match_unit_slot_replay(
+    fn clean_holds_match_unit_slot_replay(
         m in 2usize..5,
         n in 1usize..5,
         nruns in 1usize..6,
@@ -224,7 +228,7 @@ proptest! {
     ) {
         let (planned, demands, _) = build_case(m, n, nruns, seed);
         let releases = vec![0u64; n];
-        let mut fabric = Fabric::new(m, demands.clone(), &releases);
+        let mut fabric = FaultSim::new(m, demands.clone(), &releases, FaultPlan::default());
         for run in &planned.runs {
             if run.start > fabric.now() + 1 {
                 fabric.advance_to(run.start - 1);
@@ -248,9 +252,9 @@ proptest! {
             }) {
                 continue;
             }
-            fabric.apply_run(&pairs, run.duration);
+            fabric.apply_run(&pairs, run.duration).expect("valid matching");
         }
-        let (trace, completions) = fabric.finish_partial();
+        let (trace, completions, _) = fabric.finish();
         let mut slots = SlotSim::new(m, &demands, &releases);
         trace.for_each_slot(|slot, moves| {
             if slot > slots.now() + 1 {
@@ -263,5 +267,81 @@ proptest! {
         });
         prop_assert_eq!(completions, slots.completion_times().to_vec());
         prop_assert_eq!(trace_stats(&trace).total_units, trace.total_units());
+    }
+
+    /// Fault-path equivalence: a held matching is the per-slot service it
+    /// stands for. Each slot the reference steps the first listed coflow
+    /// with demand on every pair; `apply_run` must leave the same state,
+    /// blocked log and slot-by-slot delivery under any plan.
+    #[test]
+    fn held_matchings_match_stepped_moves(
+        m in 2usize..5,
+        n in 1usize..5,
+        nruns in 1usize..6,
+        seed in 0u64..1 << 32,
+        rate in 0.0f64..0.8,
+        fseed in 0u64..1 << 32,
+    ) {
+        let (planned, demands, _) = build_case(m, n, nruns, seed);
+        let releases = vec![0u64; n];
+        let plan = FaultPlan::generate(m, n, planned.makespan().max(1), rate, fseed);
+        let mut held = FaultSim::new(m, demands.clone(), &releases, plan.clone());
+        let mut stepped = FaultSim::new(m, demands.clone(), &releases, plan.clone());
+        for run in &planned.runs {
+            let mut pairs: Vec<(usize, usize, Vec<usize>)> = Vec::new();
+            for t in &run.transfers {
+                match pairs.iter_mut().find(|p| p.0 == t.src && p.1 == t.dst) {
+                    Some(p) => p.2.push(t.coflow),
+                    None => pairs.push((t.src, t.dst, vec![t.coflow])),
+                }
+            }
+            let mut src = vec![false; m];
+            let mut dst = vec![false; m];
+            if !pairs.iter().all(|&(i, j, _)| {
+                let ok = !src[i] && !dst[j];
+                src[i] = true;
+                dst[j] = true;
+                ok
+            }) {
+                continue;
+            }
+            held.apply_run(&pairs, run.duration).expect("valid matching");
+            for _ in 0..run.duration {
+                let moves: Vec<(usize, usize, usize)> = pairs
+                    .iter()
+                    .filter_map(|(i, j, prio)| {
+                        prio.iter()
+                            .find(|&&k| stepped.remaining(k, *i, *j) > 0)
+                            .map(|&k| (*i, *j, k))
+                    })
+                    .collect();
+                stepped.step(&moves).expect("valid moves");
+            }
+            prop_assert_eq!(held.now(), stepped.now());
+            prop_assert_eq!(held.completion_times(), stepped.completion_times());
+            prop_assert_eq!(held.blocked_log(), stepped.blocked_log());
+            for k in 0..n {
+                prop_assert_eq!(held.remaining_matrix(k), stepped.remaining_matrix(k));
+                prop_assert_eq!(held.is_cancelled(k), stepped.is_cancelled(k));
+            }
+        }
+        prop_assert_eq!(held.all_settled(), stepped.all_settled());
+        if held.all_settled() {
+            // The plan-aware validator re-derives the executor's completions.
+            let (trace, completions, _) = held.clone().finish();
+            let replayed = validate_trace(&demands, &releases, &plan, &trace);
+            prop_assert_eq!(replayed, Ok(completions));
+        }
+        let slots = |sim: FaultSim| {
+            let (trace, _, blocked) = sim.finish();
+            let mut busy: Vec<(u64, Vec<(usize, usize, usize)>)> = Vec::new();
+            trace.for_each_slot(|slot, moves| {
+                if !moves.is_empty() {
+                    busy.push((slot, moves.to_vec()));
+                }
+            });
+            (busy, blocked)
+        };
+        prop_assert_eq!(slots(held), slots(stepped));
     }
 }

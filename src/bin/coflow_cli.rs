@@ -14,12 +14,11 @@
 //! (ρ/w priorities re-sorted on arrivals *and* completions),
 //! `online-stale` (legacy arrival-only re-sort), `greedy` (work-conserving
 //! priority greedy over the `--order` permutation), `shafiee-ghaderi`
-//! (LP-free primal–dual, 5-approx), and `im-purohit` (LP-completion-time
-//! order, 4-approx). `resilient` is the fault-recovery pipeline and needs
-//! fault injection — the CLI schedules clean fabrics, so it points at
-//! `experiments -- faults` instead. The old `--online`, `--online-stale`,
-//! and `--greedy` flags remain as deprecated aliases for the matching
-//! `--policy` selections.
+//! (LP-free primal–dual, 5-approx), `im-purohit` (LP-completion-time
+//! order, 4-approx), and `resilient` (the fault-recovery pipeline; on the
+//! CLI's clean fabric it plans once and matches `bvn-batch`). The old
+//! `--online`, `--online-stale`, and `--greedy` flags remain as deprecated
+//! aliases for the matching `--policy` selections.
 //!
 //! `--profile` enables the `obs` registry and prints the span/counter
 //! summary tree to stderr after scheduling; `--trace-out PATH` additionally
@@ -297,15 +296,6 @@ fn main() {
                     &instance,
                     compute_order(&instance, args.order),
                 )),
-                "resilient" => {
-                    eprintln!(
-                        "error: policy 'resilient' is the fault-recovery pipeline and \
-                         needs fault injection; the CLI schedules clean fabrics. On a \
-                         clean fabric it equals bvn-batch — or run \
-                         `experiments -- faults` for the fault sweep."
-                    );
-                    exit(2)
-                }
                 _ => entry.build(&instance),
             };
             run_policy(&instance, policy.as_mut()).unwrap_or_else(|e| {
